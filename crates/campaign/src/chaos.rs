@@ -5,30 +5,35 @@
 //! appends. The resume test then restarts the campaign from the
 //! checkpoint file and asserts the final coverage equals an
 //! uninterrupted run's.
+//!
+//! The armed cursor is per thread: the hook runs on the thread that
+//! called `run_campaign*`, so a kill armed by one test can only fire in
+//! a campaign that test itself drives, never in one running concurrently
+//! on another test thread.
 
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
 
-/// `u64::MAX` means "disarmed" (no real campaign addresses that run).
-static ARMED_CURSOR: AtomicU64 = AtomicU64::new(u64::MAX);
-
-/// Arms a one-shot kill at the batch starting at `cursor`. The panic
-/// fires at most once (the compare-exchange disarms atomically), so the
-/// post-restart campaign sails past the same cursor.
-pub fn kill_once_at_cursor(cursor: u64) {
-    ARMED_CURSOR.store(cursor, Ordering::SeqCst);
+thread_local! {
+    /// `u64::MAX` means "disarmed" (no real campaign addresses that run).
+    static ARMED_CURSOR: Cell<u64> = const { Cell::new(u64::MAX) };
 }
 
-/// Disarms any pending kill.
+/// Arms a one-shot kill at the batch starting at `cursor`, for campaigns
+/// run on the calling thread. The panic fires at most once (firing
+/// disarms), so the post-restart campaign sails past the same cursor.
+pub fn kill_once_at_cursor(cursor: u64) {
+    ARMED_CURSOR.set(cursor);
+}
+
+/// Disarms any pending kill on the calling thread.
 pub fn disarm() {
-    ARMED_CURSOR.store(u64::MAX, Ordering::SeqCst);
+    ARMED_CURSOR.set(u64::MAX);
 }
 
 /// Called by the runner at every batch boundary.
 pub(crate) fn maybe_kill(cursor: u64) {
-    if ARMED_CURSOR
-        .compare_exchange(cursor, u64::MAX, Ordering::SeqCst, Ordering::SeqCst)
-        .is_ok()
-    {
+    if ARMED_CURSOR.get() == cursor {
+        ARMED_CURSOR.set(u64::MAX);
         panic!("chaos: injected campaign kill at cursor {cursor}");
     }
 }

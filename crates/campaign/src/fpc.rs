@@ -1,13 +1,10 @@
-//! The FPC run family: seeded probabilistic-consensus runs streamed
-//! through the campaign engine.
-//!
-//! An FPC campaign reuses the whole campaign chassis — batch-synchronous
-//! worker fleet, per-index seed derivation, chaos kills, checkpointed
-//! resume, violation dedup — but its runs are [`act_fpc`] simulations
-//! instead of Algorithm 1 schedules. Run `i` simulates under
-//! `derive_seed(campaign seed, i)` (the same SplitMix64 derivation
-//! `fact-cli fpc` uses, so campaigns and ad-hoc batches sample identical
-//! populations), and each run is judged against the FPC invariants:
+//! The FPC run family: seeded probabilistic-consensus runs on the one
+//! campaign chassis in [`crate::runner`], which supplies the worker
+//! fleet, chaos kills, checkpointed resume and violation dedup. This
+//! module holds only what an FPC run is. Run `i` is an [`act_fpc`]
+//! simulation under `derive_seed(campaign seed, i)` (the same SplitMix64
+//! derivation `fact-cli fpc` uses, so campaigns and ad-hoc batches sample
+//! identical populations), judged against the FPC invariants:
 //!
 //! * `fpc-agreement-on-finalize` — finalized honest nodes agree;
 //! * `fpc-monotone-finalization` — no opinion changes after finality;
@@ -21,26 +18,23 @@
 //! safety failure the first two invariants must both catch, which is the
 //! forced-violation self-test CI runs.
 
-use std::collections::BTreeSet;
-use std::path::{Path, PathBuf};
-
 use act_fpc::stats::derive_seed;
 use act_fpc::{simulate_run, FpcOutcome, FpcSpec};
 use serde::{Deserialize, Serialize};
 
-use crate::checkpoint::{
-    append_checkpoint, load_latest_checkpoint, Checkpoint, Coverage, CHECKPOINT_SCHEMA_VERSION,
-};
+use crate::checkpoint::Coverage;
 use crate::invariants::{
     resolve_invariant_names, FAMILY_FPC, INVARIANT_FPC_AGREEMENT, INVARIANT_FPC_MONOTONE,
     INVARIANT_FPC_REPLAY,
 };
-use crate::runner::CampaignReport;
-use crate::signature::signature_hex;
-use crate::{
-    chaos, CampaignConfig, Scope, CAMPAIGN_ARTIFACTS, CAMPAIGN_CHECKPOINTS, CAMPAIGN_DEDUPED,
-    CAMPAIGN_RUNS, CAMPAIGN_VIOLATIONS,
+use crate::runner::{
+    account_run, check_config, run_chassis, run_sampled, CampaignReport, RunFamily,
 };
+use crate::signature::signature_hex;
+use crate::{CampaignConfig, Scope};
+
+#[cfg(test)]
+use crate::chaos;
 
 /// A violating FPC run, as found. FPC runs are pure functions of
 /// `(spec, seed, injected)`, so the artifact *is* the replay recipe —
@@ -84,298 +78,116 @@ pub struct FpcViolationArtifact {
 }
 
 /// Runs an FPC campaign (sampled tier only — the population is a seeded
-/// sample space, not an enumerable schedule tree). Mirrors
-/// [`run_campaign`](crate::run_campaign)'s resume/checkpoint contract:
-/// coverage is worker-count invariant and a killed campaign resumes
-/// from its last batch boundary.
+/// sample space, not an enumerable schedule tree) on the shared campaign
+/// chassis, so it keeps [`run_campaign`](crate::run_campaign)'s
+/// resume/checkpoint contract: coverage is worker-count invariant and a
+/// killed campaign resumes from its last batch boundary.
 pub fn run_fpc_campaign(config: &CampaignConfig) -> Result<CampaignReport, String> {
     let timer = act_obs::timer("campaign.fpc");
     let spec = FpcSpec::parse(&config.model)?;
-    if config.batch == 0 {
-        return Err("batch size must be at least 1".to_string());
-    }
-    if config.resume && config.checkpoint.is_none() {
-        return Err("--resume requires a checkpoint file".to_string());
-    }
-    let samples = match config.scope {
-        Scope::Sampled { samples } => samples,
-        Scope::Exhaustive { .. } => {
-            return Err(
-                "fpc campaigns are sampled-only (seeded run populations have no \
-                 exhaustive schedule tree); use --samples"
-                    .to_string(),
-            )
-        }
+    check_config(config)?;
+    let Scope::Sampled { samples } = config.scope else {
+        return Err(
+            "fpc campaigns are sampled-only (seeded run populations have no \
+             exhaustive schedule tree); use --samples"
+                .to_string(),
+        );
     };
-    let active = resolve_invariant_names(config.invariants.as_deref(), FAMILY_FPC)?;
-    let fingerprint = config.fingerprint_hex();
-
-    let mut state = FpcState {
-        coverage: Coverage::default(),
-        cursor: 0,
-        done: false,
-        sigs: BTreeSet::new(),
-        artifacts_written: 0,
-        new_artifacts: Vec::new(),
+    let family = Fpc {
+        spec,
+        seed: config.seed,
+        active: resolve_invariant_names(config.invariants.as_deref(), FAMILY_FPC)?,
+        injected: config.injected_indices(),
     };
-    let mut resumed_from = 0;
-    if config.resume {
-        let path = config.checkpoint.as_ref().expect("checked above");
-        if let Some(cp) = load_latest_checkpoint(path, &fingerprint)? {
-            state.coverage = cp.coverage;
-            state.cursor = cp.cursor;
-            state.done = cp.done;
-            state.sigs = cp.artifact_sigs.into_iter().collect();
-            state.artifacts_written = cp.artifacts_written;
-            resumed_from = cp.cursor;
-        }
-    }
-
-    let injected = config.injected_indices();
-    while !state.done && state.cursor < samples {
-        chaos::maybe_kill(state.cursor);
-        let end = (state.cursor + config.batch).min(samples);
-        let (batch_coverage, violations) =
-            run_fpc_batch(&spec, config, &active, &injected, state.cursor, end);
-        state.coverage.absorb(&batch_coverage);
-        state.cursor = end;
-        state.done = state.cursor == samples;
-        settle_fpc_batch(&spec, config, &fingerprint, violations, &mut state)?;
-    }
-
-    let elapsed_us = timer.elapsed_us().unwrap_or(0);
-    timer
-        .finish()
-        .u64("cursor", state.cursor)
-        .bool("done", state.done)
-        .emit();
-    Ok(CampaignReport {
-        coverage: state.coverage,
-        cursor: state.cursor,
-        done: state.done,
-        resumed_from,
-        new_artifacts: state.new_artifacts,
-        artifact_sigs: state.sigs.into_iter().collect(),
-        elapsed_us,
+    run_chassis(config, timer, |state| {
+        run_sampled(&family, config, samples, state)
     })
 }
 
-/// The mutable FPC campaign state a checkpoint line snapshots (same
-/// shape as the adversarial tier's).
-struct FpcState {
-    coverage: Coverage,
-    cursor: u64,
-    done: bool,
-    sigs: BTreeSet<String>,
-    artifacts_written: u64,
-    new_artifacts: Vec<PathBuf>,
+/// The FPC run family: run `i` simulates the workload under
+/// `derive_seed(campaign seed, i)`.
+struct Fpc {
+    spec: FpcSpec,
+    seed: u64,
+    active: Vec<&'static str>,
+    injected: Vec<u64>,
 }
 
-/// Fans a contiguous index range out over the worker fleet. Each run is
-/// a pure function of its index, so the merged coverage is identical
-/// for any worker count.
-fn run_fpc_batch(
-    spec: &FpcSpec,
-    config: &CampaignConfig,
-    active: &[&'static str],
-    injected: &[u64],
-    start: u64,
-    end: u64,
-) -> (Coverage, Vec<FpcViolation>) {
-    let count = end - start;
-    let workers = (config.workers.max(1) as u64).min(count).max(1);
-    let chunk = count.div_ceil(workers);
-    std::thread::scope(|scope| {
-        let mut handles = Vec::new();
-        for w in 0..workers {
-            let lo = start + w * chunk;
-            let hi = (lo + chunk).min(end);
-            if lo >= hi {
-                break;
-            }
-            handles.push(scope.spawn(move || {
-                let mut coverage = Coverage::default();
-                let mut violations = Vec::new();
-                for index in lo..hi {
-                    execute_fpc_run(
-                        spec,
-                        config,
-                        active,
-                        injected,
-                        index,
-                        &mut coverage,
-                        &mut violations,
-                    );
-                }
-                (coverage, violations)
-            }));
-        }
-        let mut coverage = Coverage::default();
-        let mut violations = Vec::new();
-        for handle in handles {
-            match handle.join() {
-                Ok((c, v)) => {
-                    coverage.absorb(&c);
-                    violations.extend(v);
-                }
-                Err(panic) => std::panic::resume_unwind(panic),
-            }
-        }
-        violations.sort_by_key(|v| v.index);
-        (coverage, violations)
-    })
-}
+impl RunFamily for Fpc {
+    type Violation = FpcViolation;
+    type Artifact = FpcViolationArtifact;
+    const ARTIFACT_STEM: &'static str = "fpc-campaign";
+    const ARTIFACT_EVENT: &'static str = "campaign.fpc.artifact";
+    const BATCH_EVENT: &'static str = "campaign.fpc.batch";
 
-fn execute_fpc_run(
-    spec: &FpcSpec,
-    config: &CampaignConfig,
-    active: &[&'static str],
-    injected: &[u64],
-    index: u64,
-    coverage: &mut Coverage,
-    violations: &mut Vec<FpcViolation>,
-) {
-    let seed = derive_seed(config.seed, index);
-    let inject = injected.binary_search(&index).is_ok();
-    let outcome = simulate_run(spec, seed, inject);
+    fn run(&self, index: u64, coverage: &mut Coverage) -> Option<FpcViolation> {
+        let seed = derive_seed(self.seed, index);
+        let inject = self.injected.binary_search(&index).is_ok();
+        let outcome = simulate_run(&self.spec, seed, inject);
 
-    let mut violated: Vec<String> = Vec::new();
-    if active.contains(&INVARIANT_FPC_AGREEMENT) && !outcome.agreement_ok {
-        violated.push(INVARIANT_FPC_AGREEMENT.to_string());
-    }
-    if active.contains(&INVARIANT_FPC_MONOTONE) && outcome.post_finalization_flips > 0 {
-        violated.push(INVARIANT_FPC_MONOTONE.to_string());
-    }
-    if active.contains(&INVARIANT_FPC_REPLAY)
-        && simulate_run(spec, seed, inject).fingerprint != outcome.fingerprint
-    {
-        violated.push(INVARIANT_FPC_REPLAY.to_string());
-    }
-    violated.sort();
+        let active = &self.active;
+        let mut violated: Vec<String> = Vec::new();
+        if active.contains(&INVARIANT_FPC_AGREEMENT) && !outcome.agreement_ok {
+            violated.push(INVARIANT_FPC_AGREEMENT.to_string());
+        }
+        if active.contains(&INVARIANT_FPC_MONOTONE) && outcome.post_finalization_flips > 0 {
+            violated.push(INVARIANT_FPC_MONOTONE.to_string());
+        }
+        if active.contains(&INVARIANT_FPC_REPLAY)
+            && simulate_run(&self.spec, seed, inject).fingerprint != outcome.fingerprint
+        {
+            violated.push(INVARIANT_FPC_REPLAY.to_string());
+        }
+        violated.sort();
 
-    coverage.runs += 1;
-    coverage.steps += outcome.rounds as u64;
-    CAMPAIGN_RUNS.add(1);
-    if outcome.terminated {
-        coverage.live += 1;
-    }
-    coverage.facets.insert(outcome.fingerprint);
-    if !violated.is_empty() {
-        coverage.violations += 1;
-        if inject {
-            coverage.injected_violations += 1;
+        account_run(
+            coverage,
+            outcome.rounds as u64,
+            outcome.terminated,
+            Some(outcome.fingerprint),
+            &violated,
+            inject,
+        );
+        if violated.is_empty() {
+            return None;
         }
-        for name in &violated {
-            *coverage
-                .invariant_violations
-                .entry(name.clone())
-                .or_insert(0) += 1;
-        }
-        CAMPAIGN_VIOLATIONS.add(1);
-        violations.push(FpcViolation {
+        Some(FpcViolation {
             index,
             seed,
             violated,
             outcome,
             injected: inject,
-        });
+        })
     }
-}
 
-/// Deduplicates and persists a batch's violations, then appends the
-/// batch's checkpoint line (artifacts land before the checkpoint that
-/// records their signatures, exactly like the adversarial tier).
-/// Violations deduplicate by failure *shape* — `(spec, violated set,
-/// injected)` — so a campaign that trips one invariant a thousand times
-/// writes one artifact and counts 999 dedups.
-fn settle_fpc_batch(
-    spec: &FpcSpec,
-    config: &CampaignConfig,
-    fingerprint: &str,
-    violations: Vec<FpcViolation>,
-    state: &mut FpcState,
-) -> Result<(), String> {
-    let model = spec.canonical_string();
-    for violation in violations {
+    fn describe(violation: &FpcViolation) -> (u64, &[String]) {
+        (violation.index, &violation.violated)
+    }
+
+    /// Violations deduplicate by failure *shape* — `(spec, violated set,
+    /// injected)` — so a campaign that trips one invariant a thousand
+    /// times writes one artifact and counts 999 dedups.
+    fn artifact(&self, violation: &FpcViolation) -> (String, FpcViolationArtifact) {
+        let model = self.spec.canonical_string();
         let sig_text = format!(
             "fact-fpc-violation|{model}|{}|injected={}",
             violation.violated.join("+"),
             violation.injected
         );
         let sig = signature_hex(act_obs::content_hash128(sig_text.as_bytes()));
-        if state.sigs.insert(sig.clone()) {
-            let path = write_fpc_artifact(
-                config
-                    .artifacts
-                    .clone()
-                    .unwrap_or_else(|| PathBuf::from("target/campaign-artifacts"))
-                    .as_path(),
-                &sig,
-                &model,
-                &violation,
-            )?;
-            state.artifacts_written += 1;
-            CAMPAIGN_ARTIFACTS.add(1);
-            act_obs::event("campaign.fpc.artifact")
-                .str("signature", &sig)
-                .str("path", &path.display().to_string())
-                .str("violated", &violation.violated.join("+"))
-                .u64("run_index", violation.index)
-                .emit();
-            state.new_artifacts.push(path);
-        } else {
-            state.coverage.deduped += 1;
-            CAMPAIGN_DEDUPED.add(1);
-        }
-    }
-    if let Some(path) = &config.checkpoint {
-        let checkpoint = Checkpoint {
-            schema: CHECKPOINT_SCHEMA_VERSION,
-            fingerprint: fingerprint.to_string(),
-            cursor: state.cursor,
-            done: state.done,
-            coverage: state.coverage.clone(),
-            artifact_sigs: state.sigs.iter().cloned().collect(),
-            artifacts_written: state.artifacts_written,
+        let artifact = FpcViolationArtifact {
+            schema_version: 1,
+            reason: format!("fpc-campaign:{}", violation.violated.join("+")),
+            spec: model,
+            run_index: violation.index,
+            seed: violation.seed,
+            injected: violation.injected,
+            rounds: violation.outcome.rounds as u64,
+            finalized: violation.outcome.finalized,
+            fingerprint: format!("{:016x}", violation.outcome.fingerprint),
         };
-        append_checkpoint(path, &checkpoint)?;
-        CAMPAIGN_CHECKPOINTS.add(1);
+        (sig, artifact)
     }
-    act_obs::event("campaign.fpc.batch")
-        .u64("cursor", state.cursor)
-        .u64("violations", state.coverage.violations)
-        .bool("done", state.done)
-        .emit();
-    Ok(())
-}
-
-/// Writes one FPC violation artifact (atomically: temp file + rename,
-/// keyed by signature so resumes rewrite byte-identical content).
-fn write_fpc_artifact(
-    dir: &Path,
-    sig: &str,
-    model: &str,
-    violation: &FpcViolation,
-) -> Result<PathBuf, String> {
-    std::fs::create_dir_all(dir).map_err(|e| format!("creating artifact dir {dir:?}: {e}"))?;
-    let artifact = FpcViolationArtifact {
-        schema_version: 1,
-        reason: format!("fpc-campaign:{}", violation.violated.join("+")),
-        spec: model.to_string(),
-        run_index: violation.index,
-        seed: violation.seed,
-        injected: violation.injected,
-        rounds: violation.outcome.rounds as u64,
-        finalized: violation.outcome.finalized,
-        fingerprint: format!("{:016x}", violation.outcome.fingerprint),
-    };
-    let json = serde_json::to_string_pretty(&artifact)
-        .map_err(|e| format!("serializing artifact: {e}"))?;
-    let path = dir.join(format!("fpc-campaign-{sig}.json"));
-    let tmp = dir.join(format!(".fpc-campaign-{sig}.json.tmp"));
-    std::fs::write(&tmp, json).map_err(|e| format!("writing artifact {tmp:?}: {e}"))?;
-    std::fs::rename(&tmp, &path).map_err(|e| format!("publishing artifact {path:?}: {e}"))?;
-    Ok(path)
 }
 
 #[cfg(test)]

@@ -7,7 +7,8 @@
 //! seed: a correct set (one of the adversary's live sets), per-process
 //! crash budgets, an adversarial-scheduler RNG seed, and optionally a
 //! seeded [`FaultPlan`](act_runtime::FaultPlan) from the chaos layer.
-//! Two tiers share one engine:
+//! One chassis ([`runner`]) also drives a second run family, seeded FPC
+//! consensus runs ([`fpc`]). Adversarial campaigns come in two tiers:
 //!
 //! * **exhaustive** — bounded breadth-first enumeration of *every*
 //!   schedule up to a depth, streamed through
@@ -180,10 +181,11 @@ impl CampaignConfig {
             Scope::Exhaustive { max_depth } => format!("exhaustive:{max_depth}"),
             Scope::Sampled { samples } => format!("sampled:{samples}"),
         };
-        let mut inject: Vec<u64> = self.inject_liveness.clone();
-        inject.sort_unstable();
-        inject.dedup();
-        let inject: Vec<String> = inject.iter().map(|i| i.to_string()).collect();
+        let inject: Vec<String> = self
+            .injected_indices()
+            .iter()
+            .map(|i| i.to_string())
+            .collect();
         let mut text = format!(
             "fact-campaign|model={}|scope={}|seed={}|max_steps={}|fault_rate={}|inject={}|solver={}",
             self.model,

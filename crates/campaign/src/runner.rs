@@ -1,6 +1,6 @@
-//! The campaign engine: model context, per-index run derivation, the
-//! two-tier (exhaustive / sampled) loop, the batch-synchronous worker
-//! fleet, and artifact emission.
+//! The campaign engine: the model context, the one chassis every run
+//! family shares (`RunFamily`, `run_chassis`, `run_sampled`, `settle`),
+//! and the adversarial family; the FPC family is in [`crate::fpc`].
 //!
 //! Determinism is the design invariant everything else hangs off:
 //! every sampled run is a pure function of `(campaign seed, run index)`
@@ -8,7 +8,7 @@
 //! coverage is independent of the worker count and a resumed campaign
 //! re-derives exactly the runs an uninterrupted one would have
 //! executed. Batches are the atom of progress: violations found in a
-//! batch are shrunk, deduplicated, and persisted *before* the batch's
+//! batch are deduplicated and persisted *before* the batch's
 //! checkpoint line is appended, so a kill at any point loses at most
 //! one batch of work and never an artifact a checkpoint claims.
 
@@ -28,6 +28,7 @@ use fact::{
 };
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
+use serde::Serialize;
 
 use crate::checkpoint::{
     append_checkpoint, load_latest_checkpoint, Checkpoint, Coverage, CHECKPOINT_SCHEMA_VERSION,
@@ -230,50 +231,93 @@ pub fn run_campaign_in(
     config: &CampaignConfig,
 ) -> Result<CampaignReport, String> {
     let timer = act_obs::timer("campaign.run");
+    check_config(config)?;
+    let invariants = selected_invariants(config.invariants.as_deref())?;
+    let family = Adversarial {
+        ctx,
+        config,
+        invariants: &invariants,
+        injected: config.injected_indices(),
+    };
+    run_chassis(config, timer, |state| match config.scope {
+        Scope::Sampled { samples } => run_sampled(&family, config, samples, state),
+        Scope::Exhaustive { max_depth } => run_exhaustive(&family, config, max_depth, state),
+    })
+}
+
+/// One family of campaign runs: how run `i` executes and is judged, and
+/// how a violation persists. The chassis below owns the rest (config
+/// checks, resume, batches, the fleet, dedup, artifacts, checkpoints);
+/// dispatch is generic, so each family's per-run code is monomorphised.
+pub(crate) trait RunFamily: Sync {
+    /// A violating run, as found.
+    type Violation: Send;
+    /// The persisted form of a deduplicated violation.
+    type Artifact: Serialize;
+    /// Artifact files are named `<stem>-<signature>.json`.
+    const ARTIFACT_STEM: &'static str;
+    /// The obs event emitted per written artifact.
+    const ARTIFACT_EVENT: &'static str;
+    /// The obs event emitted per settled batch.
+    const BATCH_EVENT: &'static str;
+
+    /// Executes, judges and accounts run `index` into `coverage` (a pure
+    /// function of the campaign seed and the index); returns its violation.
+    fn run(&self, index: u64, coverage: &mut Coverage) -> Option<Self::Violation>;
+    /// A violation's campaign index and the sorted invariants it broke.
+    fn describe(violation: &Self::Violation) -> (u64, &[String]);
+    /// A violation's dedup signature and its artifact.
+    fn artifact(&self, violation: &Self::Violation) -> (String, Self::Artifact);
+}
+
+/// The config checks every family shares.
+pub(crate) fn check_config(config: &CampaignConfig) -> Result<(), String> {
     if config.batch == 0 {
         return Err("batch size must be at least 1".to_string());
     }
     if config.resume && config.checkpoint.is_none() {
         return Err("--resume requires a checkpoint file".to_string());
     }
-    let fingerprint = config.fingerprint_hex();
-    let invariants = selected_invariants(config.invariants.as_deref())?;
+    Ok(())
+}
 
+/// The mutable campaign state a checkpoint line snapshots.
+#[derive(Default)]
+pub(crate) struct CampaignState {
+    fingerprint: String,
+    coverage: Coverage,
+    cursor: u64,
+    done: bool,
+    sigs: BTreeSet<String>,
+    artifacts_written: u64,
+    new_artifacts: Vec<PathBuf>,
+}
+
+/// The chassis around a tier: resumes from the latest checkpoint when
+/// asked, runs `tier` unless the population is already exhausted, and
+/// reports, finishing `timer` with the final cursor.
+pub(crate) fn run_chassis(
+    config: &CampaignConfig,
+    timer: act_obs::Span,
+    tier: impl FnOnce(&mut CampaignState) -> Result<(), String>,
+) -> Result<CampaignReport, String> {
     let mut state = CampaignState {
-        coverage: Coverage::default(),
-        cursor: 0,
-        done: false,
-        sigs: BTreeSet::new(),
-        artifacts_written: 0,
-        new_artifacts: Vec::new(),
+        fingerprint: config.fingerprint_hex(),
+        ..CampaignState::default()
     };
-    let mut resumed_from = 0;
     if config.resume {
-        let path = config.checkpoint.as_ref().expect("checked above");
-        if let Some(cp) = load_latest_checkpoint(path, &fingerprint)? {
+        let path = config.checkpoint.as_ref().expect("checked by check_config");
+        if let Some(cp) = load_latest_checkpoint(path, &state.fingerprint)? {
             state.coverage = cp.coverage;
             state.cursor = cp.cursor;
             state.done = cp.done;
             state.sigs = cp.artifact_sigs.into_iter().collect();
             state.artifacts_written = cp.artifacts_written;
-            resumed_from = cp.cursor;
         }
     }
-
+    let resumed_from = state.cursor;
     if !state.done {
-        match config.scope {
-            Scope::Sampled { samples } => {
-                run_sampled_tier(ctx, config, &invariants, &fingerprint, samples, &mut state)?
-            }
-            Scope::Exhaustive { max_depth } => run_exhaustive_tier(
-                ctx,
-                config,
-                &invariants,
-                &fingerprint,
-                max_depth,
-                &mut state,
-            )?,
-        }
+        tier(&mut state)?;
     }
 
     let elapsed_us = timer.elapsed_us().unwrap_or(0);
@@ -293,34 +337,23 @@ pub fn run_campaign_in(
     })
 }
 
-/// The mutable campaign state a checkpoint line snapshots.
-struct CampaignState {
-    coverage: Coverage,
-    cursor: u64,
-    done: bool,
-    sigs: BTreeSet<String>,
-    artifacts_written: u64,
-    new_artifacts: Vec<PathBuf>,
-}
-
-fn run_sampled_tier(
-    ctx: &CampaignContext,
+/// The sampled tier, shared by every family: batches of contiguous run
+/// indices fanned out over the worker fleet, each settled (and
+/// checkpointed) before the next starts.
+pub(crate) fn run_sampled<F: RunFamily>(
+    family: &F,
     config: &CampaignConfig,
-    invariants: &[Box<dyn Invariant>],
-    fingerprint: &str,
     samples: u64,
     state: &mut CampaignState,
 ) -> Result<(), String> {
-    let injected = config.injected_indices();
     while state.cursor < samples {
         chaos::maybe_kill(state.cursor);
         let end = (state.cursor + config.batch).min(samples);
-        let (batch_coverage, violations) =
-            run_sampled_batch(ctx, config, invariants, &injected, state.cursor, end);
+        let (batch_coverage, violations) = run_fleet(family, config.workers, state.cursor, end);
         state.coverage.absorb(&batch_coverage);
         state.cursor = end;
         state.done = state.cursor == samples;
-        settle_batch(ctx, config, invariants, fingerprint, violations, state)?;
+        settle(family, config, violations, state)?;
     }
     Ok(())
 }
@@ -330,42 +363,29 @@ fn run_sampled_tier(
 /// index, the merged coverage is identical for any worker count. A
 /// worker panic is propagated (the campaign dies mid-batch, exactly
 /// like a kill — the previous checkpoint stays authoritative).
-fn run_sampled_batch(
-    ctx: &CampaignContext,
-    config: &CampaignConfig,
-    invariants: &[Box<dyn Invariant>],
-    injected: &[u64],
+fn run_fleet<F: RunFamily>(
+    family: &F,
+    workers: usize,
     start: u64,
     end: u64,
-) -> (Coverage, Vec<Violation>) {
+) -> (Coverage, Vec<F::Violation>) {
     let count = end - start;
-    let workers = (config.workers.max(1) as u64).min(count).max(1);
+    let workers = (workers.max(1) as u64).min(count).max(1);
     let chunk = count.div_ceil(workers);
     std::thread::scope(|scope| {
-        let mut handles = Vec::new();
-        for w in 0..workers {
-            let lo = start + w * chunk;
-            let hi = (lo + chunk).min(end);
-            if lo >= hi {
-                break;
-            }
-            handles.push(scope.spawn(move || {
-                let mut coverage = Coverage::default();
-                let mut violations = Vec::new();
-                for index in lo..hi {
-                    execute_sampled_run(
-                        ctx,
-                        config,
-                        invariants,
-                        injected,
-                        index,
-                        &mut coverage,
-                        &mut violations,
-                    );
-                }
-                (coverage, violations)
-            }));
-        }
+        let handles: Vec<_> = (start..end)
+            .step_by(chunk as usize)
+            .map(|lo| {
+                scope.spawn(move || {
+                    let mut coverage = Coverage::default();
+                    let mut violations = Vec::new();
+                    for index in lo..(lo + chunk).min(end) {
+                        violations.extend(family.run(index, &mut coverage));
+                    }
+                    (coverage, violations)
+                })
+            })
+            .collect();
         let mut coverage = Coverage::default();
         let mut violations = Vec::new();
         for handle in handles {
@@ -377,9 +397,283 @@ fn run_sampled_batch(
                 Err(panic) => std::panic::resume_unwind(panic),
             }
         }
-        violations.sort_by_key(|v| v.index);
+        violations.sort_by_key(|v| F::describe(v).0);
         (coverage, violations)
     })
+}
+
+/// The coverage accounting every run shares, whatever its family or
+/// tier: the steps it executed, whether it finished live, the facet it
+/// decided into (if any), and the sorted invariants it violated.
+pub(crate) fn account_run(
+    coverage: &mut Coverage,
+    steps: u64,
+    live: bool,
+    facet: Option<u64>,
+    violated: &[String],
+    injected: bool,
+) {
+    coverage.runs += 1;
+    coverage.steps += steps;
+    CAMPAIGN_RUNS.add(1);
+    if live {
+        coverage.live += 1;
+    }
+    coverage.facets.extend(facet);
+    if !violated.is_empty() {
+        coverage.violations += 1;
+        if injected {
+            coverage.injected_violations += 1;
+        }
+        for name in violated {
+            *coverage
+                .invariant_violations
+                .entry(name.clone())
+                .or_insert(0) += 1;
+        }
+        CAMPAIGN_VIOLATIONS.add(1);
+    }
+}
+
+/// Deduplicates and persists a batch's violations, then appends the
+/// batch's checkpoint line. Order matters: artifacts land on disk
+/// before the checkpoint that records their signatures, so a checkpoint
+/// never claims an artifact that does not exist.
+fn settle<F: RunFamily>(
+    family: &F,
+    config: &CampaignConfig,
+    violations: Vec<F::Violation>,
+    state: &mut CampaignState,
+) -> Result<(), String> {
+    let dir = config
+        .artifacts
+        .clone()
+        .unwrap_or_else(|| PathBuf::from("target/campaign-artifacts"));
+    for violation in violations {
+        let (sig, artifact) = family.artifact(&violation);
+        if state.sigs.insert(sig.clone()) {
+            let path = write_artifact(&dir, F::ARTIFACT_STEM, &sig, &artifact)?;
+            state.artifacts_written += 1;
+            CAMPAIGN_ARTIFACTS.add(1);
+            let (index, violated) = F::describe(&violation);
+            act_obs::event(F::ARTIFACT_EVENT)
+                .str("signature", &sig)
+                .str("path", &path.display().to_string())
+                .str("violated", &violated.join("+"))
+                .u64("run_index", index)
+                .emit();
+            state.new_artifacts.push(path);
+        } else {
+            state.coverage.deduped += 1;
+            CAMPAIGN_DEDUPED.add(1);
+        }
+    }
+    if let Some(path) = &config.checkpoint {
+        let checkpoint = Checkpoint {
+            schema: CHECKPOINT_SCHEMA_VERSION,
+            fingerprint: state.fingerprint.clone(),
+            cursor: state.cursor,
+            done: state.done,
+            coverage: state.coverage.clone(),
+            artifact_sigs: state.sigs.iter().cloned().collect(),
+            artifacts_written: state.artifacts_written,
+        };
+        append_checkpoint(path, &checkpoint)?;
+        CAMPAIGN_CHECKPOINTS.add(1);
+    }
+    act_obs::event(F::BATCH_EVENT)
+        .u64("cursor", state.cursor)
+        .u64("violations", state.coverage.violations)
+        .bool("done", state.done)
+        .emit();
+    Ok(())
+}
+
+/// Writes an artifact as `<stem>-<sig>.json` (atomically: temp file +
+/// rename, keyed by signature so a resumed campaign rewrites
+/// byte-identical content instead of duplicating).
+fn write_artifact(
+    dir: &Path,
+    stem: &str,
+    sig: &str,
+    artifact: &impl Serialize,
+) -> Result<PathBuf, String> {
+    std::fs::create_dir_all(dir).map_err(|e| format!("creating artifact dir {dir:?}: {e}"))?;
+    let json =
+        serde_json::to_string_pretty(artifact).map_err(|e| format!("serializing artifact: {e}"))?;
+    let path = dir.join(format!("{stem}-{sig}.json"));
+    let tmp = dir.join(format!(".{stem}-{sig}.json.tmp"));
+    std::fs::write(&tmp, json).map_err(|e| format!("writing artifact {tmp:?}: {e}"))?;
+    std::fs::rename(&tmp, &path).map_err(|e| format!("publishing artifact {path:?}: {e}"))?;
+    Ok(path)
+}
+
+/// The adversarial run family: Algorithm 1 under the adversarial
+/// scheduler, run `i` drawn by `derive_plan` from `(seed, i)`.
+struct Adversarial<'a> {
+    ctx: &'a CampaignContext,
+    config: &'a CampaignConfig,
+    invariants: &'a [Box<dyn Invariant>],
+    injected: Vec<u64>,
+}
+
+impl Adversarial<'_> {
+    /// Draws run `index`'s [`RunPlan`].
+    fn derive_plan(&self, index: u64) -> RunPlan {
+        let (ctx, config) = (self.ctx, self.config);
+        let n = ctx.participants.len();
+        let mut stream = config
+            .seed
+            .wrapping_add((index + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15));
+        let correct_draw = splitmix64(&mut stream);
+        let budgets: Vec<usize> = (0..n)
+            .map(|_| (splitmix64(&mut stream) % 4) as usize)
+            .collect();
+        let rng_seed = splitmix64(&mut stream);
+        let fault_draw = splitmix64(&mut stream);
+        let fault_seed = splitmix64(&mut stream);
+        if self.injected.binary_search(&index).is_ok() {
+            // A synthetic liveness violation: the full set must decide but
+            // the run is cut off after INJECTED_MAX_STEPS steps.
+            return RunPlan {
+                correct: ctx.participants,
+                budgets: vec![0; n],
+                rng_seed,
+                fault_plan: None,
+                max_steps: INJECTED_MAX_STEPS,
+                injected: true,
+            };
+        }
+        let correct = ctx.live_sets[(correct_draw % ctx.live_sets.len() as u64) as usize];
+        let fault_plan = (fault_draw % 100 < config.fault_rate_percent.min(100) as u64)
+            .then(|| FaultPlan::seeded(fault_seed, n, 64));
+        RunPlan {
+            correct,
+            budgets,
+            rng_seed,
+            fault_plan,
+            max_steps: config.max_steps,
+            injected: false,
+        }
+    }
+
+    /// Judges one executed run and accounts it (shared by the sampled
+    /// and exhaustive tiers).
+    fn judge(
+        &self,
+        index: u64,
+        record: &RunRecord<'_>,
+        injected: bool,
+        coverage: &mut Coverage,
+    ) -> Option<Violation> {
+        let ctx = self.ctx;
+        let outcome = record.outcome;
+        let violated = check_all(self.invariants, ctx, record);
+        let facet = (outcome.all_correct_terminated
+            && record.outputs.len() == ctx.participants.len())
+        .then(|| fact::outputs_to_simplex(ctx.affine.complex(), record.outputs))
+        .flatten()
+        .map(|simplex| act_obs::fnv1a64(0xcbf29ce484222325, format!("{simplex:?}").as_bytes()));
+        account_run(
+            coverage,
+            outcome.steps as u64,
+            outcome.all_correct_terminated,
+            facet,
+            &violated,
+            injected,
+        );
+        if violated.is_empty() {
+            return None;
+        }
+        let mut trace = Trace::from_outcome(ctx.participants, outcome);
+        if let Some(fault_plan) = record.fault_plan {
+            trace = trace.with_fault_plan(fault_plan.clone());
+        }
+        Some(Violation {
+            index,
+            violated,
+            trace,
+            max_steps: record.max_steps,
+            injected,
+        })
+    }
+}
+
+impl RunFamily for Adversarial<'_> {
+    type Violation = Violation;
+    type Artifact = TraceArtifact;
+    const ARTIFACT_STEM: &'static str = "campaign";
+    const ARTIFACT_EVENT: &'static str = "campaign.artifact";
+    const BATCH_EVENT: &'static str = "campaign.batch";
+
+    fn run(&self, index: u64, coverage: &mut Coverage) -> Option<Violation> {
+        let ctx = self.ctx;
+        let plan = self.derive_plan(index);
+        let mut guard =
+            MonotonicityGuard::new(AlgorithmOneSystem::new(&ctx.alpha, ctx.participants));
+        let mut rng = ChaCha8Rng::seed_from_u64(plan.rng_seed);
+        let budgets = &plan.budgets;
+        let (outcome, fault_report) = match &plan.fault_plan {
+            Some(fault_plan) => {
+                let (outcome, report) = run_adversarial_with_faults(
+                    &mut guard,
+                    ctx.participants,
+                    plan.correct,
+                    &mut rng,
+                    |p: ProcessId| budgets[p.index()],
+                    plan.max_steps,
+                    fault_plan,
+                );
+                (outcome, Some(report))
+            }
+            None => (
+                run_adversarial(
+                    &mut guard,
+                    ctx.participants,
+                    plan.correct,
+                    &mut rng,
+                    |p: ProcessId| budgets[p.index()],
+                    plan.max_steps,
+                ),
+                None,
+            ),
+        };
+        if let Some(report) = &fault_report {
+            coverage.faulted_runs += 1;
+            coverage.faults_applied +=
+                (report.crashes_applied + report.stalls_applied + report.perturbs_applied) as u64;
+        }
+        let outputs = guard.inner().outputs();
+        let record = RunRecord {
+            outcome: &outcome,
+            participants: ctx.participants,
+            truncated_by_depth: false,
+            monotonicity_ok: guard.ok(),
+            outputs: &outputs,
+            fault_plan: plan.fault_plan.as_ref(),
+            max_steps: plan.max_steps,
+        };
+        self.judge(index, &record, plan.injected, coverage)
+    }
+
+    fn describe(violation: &Violation) -> (u64, &[String]) {
+        (violation.index, &violation.violated)
+    }
+
+    /// Shrinks the violation: the signature and the replayable
+    /// [`TraceArtifact`] are the shrunk trace's.
+    fn artifact(&self, violation: &Violation) -> (String, TraceArtifact) {
+        let shrunk = shrink_violation(self.ctx, self.invariants, violation);
+        let model = self.ctx.spec.canonical_string();
+        let sig = signature_hex(violation_signature(&model, &shrunk, &violation.violated));
+        let artifact = TraceArtifact {
+            schema_version: 1,
+            reason: format!("campaign:{}", violation.violated.join("+")),
+            max_steps: violation.max_steps as u64,
+            trace: shrunk,
+        };
+        (sig, artifact)
+    }
 }
 
 /// The per-index derivation: a SplitMix64 stream keyed by the campaign
@@ -404,160 +698,22 @@ fn splitmix64(state: &mut u64) -> u64 {
     z ^ (z >> 31)
 }
 
-fn derive_plan(
-    ctx: &CampaignContext,
-    config: &CampaignConfig,
-    injected: &[u64],
-    index: u64,
-) -> RunPlan {
-    let n = ctx.participants.len();
-    let mut stream = config
-        .seed
-        .wrapping_add((index + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15));
-    let correct_draw = splitmix64(&mut stream);
-    let budgets: Vec<usize> = (0..n)
-        .map(|_| (splitmix64(&mut stream) % 4) as usize)
-        .collect();
-    let rng_seed = splitmix64(&mut stream);
-    let fault_draw = splitmix64(&mut stream);
-    let fault_seed = splitmix64(&mut stream);
-    if injected.binary_search(&index).is_ok() {
-        // A synthetic liveness violation: the full set must decide but
-        // the run is cut off after INJECTED_MAX_STEPS steps.
-        return RunPlan {
-            correct: ctx.participants,
-            budgets: vec![0; n],
-            rng_seed,
-            fault_plan: None,
-            max_steps: INJECTED_MAX_STEPS,
-            injected: true,
-        };
-    }
-    let correct = ctx.live_sets[(correct_draw % ctx.live_sets.len() as u64) as usize];
-    let fault_plan = (fault_draw % 100 < config.fault_rate_percent.min(100) as u64)
-        .then(|| FaultPlan::seeded(fault_seed, n, 64));
-    RunPlan {
-        correct,
-        budgets,
-        rng_seed,
-        fault_plan,
-        max_steps: config.max_steps,
-        injected: false,
-    }
-}
-
-fn execute_sampled_run(
-    ctx: &CampaignContext,
-    config: &CampaignConfig,
-    invariants: &[Box<dyn Invariant>],
-    injected: &[u64],
-    index: u64,
-    coverage: &mut Coverage,
-    violations: &mut Vec<Violation>,
-) {
-    let plan = derive_plan(ctx, config, injected, index);
-    let mut guard = MonotonicityGuard::new(AlgorithmOneSystem::new(&ctx.alpha, ctx.participants));
-    let mut rng = ChaCha8Rng::seed_from_u64(plan.rng_seed);
-    let budgets = &plan.budgets;
-    let (outcome, fault_report) = match &plan.fault_plan {
-        Some(fault_plan) => {
-            let (outcome, report) = run_adversarial_with_faults(
-                &mut guard,
-                ctx.participants,
-                plan.correct,
-                &mut rng,
-                |p: ProcessId| budgets[p.index()],
-                plan.max_steps,
-                fault_plan,
-            );
-            (outcome, Some(report))
-        }
-        None => (
-            run_adversarial(
-                &mut guard,
-                ctx.participants,
-                plan.correct,
-                &mut rng,
-                |p: ProcessId| budgets[p.index()],
-                plan.max_steps,
-            ),
-            None,
-        ),
-    };
-    let outputs = guard.inner().outputs();
-    let record = RunRecord {
-        outcome: &outcome,
-        participants: ctx.participants,
-        truncated_by_depth: false,
-        monotonicity_ok: guard.ok(),
-        outputs: &outputs,
-        fault_plan: plan.fault_plan.as_ref(),
-        max_steps: plan.max_steps,
-    };
-    let violated = check_all(invariants, ctx, &record);
-
-    coverage.runs += 1;
-    coverage.steps += outcome.steps as u64;
-    CAMPAIGN_RUNS.add(1);
-    if outcome.all_correct_terminated {
-        coverage.live += 1;
-        if outputs.len() == ctx.participants.len() {
-            if let Some(simplex) = fact::outputs_to_simplex(ctx.affine.complex(), &outputs) {
-                coverage.facets.insert(act_obs::fnv1a64(
-                    0xcbf29ce484222325,
-                    format!("{simplex:?}").as_bytes(),
-                ));
-            }
-        }
-    }
-    if let Some(report) = &fault_report {
-        coverage.faulted_runs += 1;
-        coverage.faults_applied +=
-            (report.crashes_applied + report.stalls_applied + report.perturbs_applied) as u64;
-    }
-    if !violated.is_empty() {
-        coverage.violations += 1;
-        if plan.injected {
-            coverage.injected_violations += 1;
-        }
-        for name in &violated {
-            *coverage
-                .invariant_violations
-                .entry(name.clone())
-                .or_insert(0) += 1;
-        }
-        CAMPAIGN_VIOLATIONS.add(1);
-        let mut trace = Trace::from_outcome(ctx.participants, &outcome);
-        if let Some(fault_plan) = plan.fault_plan {
-            trace = trace.with_fault_plan(fault_plan);
-        }
-        violations.push(Violation {
-            index,
-            violated,
-            trace,
-            max_steps: plan.max_steps,
-            injected: plan.injected,
-        });
-    }
-}
-
 /// The exhaustive tier: streams a bounded breadth-first enumeration of
 /// every schedule of the full participant set through
-/// [`explore_iter`] — O(frontier) memory, never O(runs) — evaluating
-/// invariants per run. Runs cut off by the depth bound are flagged
+/// [`explore_iter`] — O(frontier) memory, never O(runs) — judging each
+/// run like a sampled one. Runs cut off by the depth bound are flagged
 /// truncated, so the liveness invariant (a statement about *fair*
 /// schedules, not prefixes) does not fire on them. Resume re-enumerates
 /// and skips the checkpointed prefix: the enumeration order is
 /// deterministic, so the skipped runs are exactly the ones already
 /// counted.
-fn run_exhaustive_tier(
-    ctx: &CampaignContext,
+fn run_exhaustive(
+    family: &Adversarial<'_>,
     config: &CampaignConfig,
-    invariants: &[Box<dyn Invariant>],
-    fingerprint: &str,
     max_depth: usize,
     state: &mut CampaignState,
 ) -> Result<(), String> {
+    let ctx = family.ctx;
     let initial = MonotonicityGuard::new(AlgorithmOneSystem::new(&ctx.alpha, ctx.participants));
     let mut iter = explore_iter(
         &initial,
@@ -567,161 +723,32 @@ fn run_exhaustive_tier(
         usize::MAX,
         ExploreOrder::BreadthFirst,
     );
-    for _ in 0..state.cursor {
-        if iter.next().is_none() {
-            break;
-        }
-    }
-    loop {
+    iter.by_ref().take(state.cursor as usize).for_each(drop);
+    while !state.done {
         chaos::maybe_kill(state.cursor);
         let mut batch_coverage = Coverage::default();
         let mut violations = Vec::new();
-        let mut in_batch = 0u64;
-        while in_batch < config.batch {
-            let Some((guard, outcome)) = iter.next() else {
-                state.done = true;
-                break;
-            };
+        for (guard, outcome) in iter.by_ref().take(config.batch as usize) {
             let outputs = guard.inner().outputs();
-            let truncated = !outcome.all_correct_terminated;
             let record = RunRecord {
                 outcome: &outcome,
                 participants: ctx.participants,
-                truncated_by_depth: truncated,
+                truncated_by_depth: !outcome.all_correct_terminated,
                 monotonicity_ok: guard.ok(),
                 outputs: &outputs,
                 fault_plan: None,
                 max_steps: max_depth,
             };
-            let violated = check_all(invariants, ctx, &record);
-            batch_coverage.runs += 1;
-            batch_coverage.steps += outcome.steps as u64;
-            CAMPAIGN_RUNS.add(1);
-            if outcome.all_correct_terminated {
-                batch_coverage.live += 1;
-                if outputs.len() == ctx.participants.len() {
-                    if let Some(simplex) = fact::outputs_to_simplex(ctx.affine.complex(), &outputs)
-                    {
-                        batch_coverage.facets.insert(act_obs::fnv1a64(
-                            0xcbf29ce484222325,
-                            format!("{simplex:?}").as_bytes(),
-                        ));
-                    }
-                }
-            }
-            if !violated.is_empty() {
-                batch_coverage.violations += 1;
-                for name in &violated {
-                    *batch_coverage
-                        .invariant_violations
-                        .entry(name.clone())
-                        .or_insert(0) += 1;
-                }
-                CAMPAIGN_VIOLATIONS.add(1);
-                violations.push(Violation {
-                    index: state.cursor + in_batch,
-                    violated,
-                    trace: Trace::from_outcome(ctx.participants, &outcome),
-                    max_steps: max_depth,
-                    injected: false,
-                });
-            }
-            in_batch += 1;
+            let index = state.cursor + batch_coverage.runs;
+            violations.extend(family.judge(index, &record, false, &mut batch_coverage));
         }
+        // A batch the enumeration could not fill has exhausted it.
+        state.done = batch_coverage.runs < config.batch;
+        state.cursor += batch_coverage.runs;
         state.coverage.absorb(&batch_coverage);
-        state.cursor += in_batch;
-        settle_batch(ctx, config, invariants, fingerprint, violations, state)?;
-        if state.done {
-            return Ok(());
-        }
+        settle(family, config, violations, state)?;
     }
-}
-
-/// Shrinks, deduplicates, and persists a batch's violations, then
-/// appends the batch's checkpoint line. Order matters: artifacts land
-/// on disk before the checkpoint that records their signatures, so a
-/// checkpoint never claims an artifact that does not exist.
-fn settle_batch(
-    ctx: &CampaignContext,
-    config: &CampaignConfig,
-    invariants: &[Box<dyn Invariant>],
-    fingerprint: &str,
-    violations: Vec<Violation>,
-    state: &mut CampaignState,
-) -> Result<(), String> {
-    let model = ctx.spec.canonical_string();
-    for violation in violations {
-        let shrunk = shrink_violation(ctx, invariants, &violation);
-        let sig = signature_hex(violation_signature(&model, &shrunk, &violation.violated));
-        if state.sigs.insert(sig.clone()) {
-            let path = write_artifact(
-                config
-                    .artifacts
-                    .clone()
-                    .unwrap_or_else(|| PathBuf::from("target/campaign-artifacts"))
-                    .as_path(),
-                &sig,
-                &shrunk,
-                &violation,
-            )?;
-            state.artifacts_written += 1;
-            CAMPAIGN_ARTIFACTS.add(1);
-            act_obs::event("campaign.artifact")
-                .str("signature", &sig)
-                .str("path", &path.display().to_string())
-                .str("violated", &violation.violated.join("+"))
-                .u64("run_index", violation.index)
-                .emit();
-            state.new_artifacts.push(path);
-        } else {
-            state.coverage.deduped += 1;
-            CAMPAIGN_DEDUPED.add(1);
-        }
-    }
-    if let Some(path) = &config.checkpoint {
-        let checkpoint = Checkpoint {
-            schema: CHECKPOINT_SCHEMA_VERSION,
-            fingerprint: fingerprint.to_string(),
-            cursor: state.cursor,
-            done: state.done,
-            coverage: state.coverage.clone(),
-            artifact_sigs: state.sigs.iter().cloned().collect(),
-            artifacts_written: state.artifacts_written,
-        };
-        append_checkpoint(path, &checkpoint)?;
-        CAMPAIGN_CHECKPOINTS.add(1);
-    }
-    act_obs::event("campaign.batch")
-        .u64("cursor", state.cursor)
-        .u64("violations", state.coverage.violations)
-        .bool("done", state.done)
-        .emit();
     Ok(())
-}
-
-/// Writes a shrunk violation as a replayable [`TraceArtifact`]
-/// (atomically: temp file + rename, keyed by signature so a resumed
-/// campaign rewrites byte-identical content instead of duplicating).
-fn write_artifact(
-    dir: &Path,
-    sig: &str,
-    shrunk: &Trace,
-    violation: &Violation,
-) -> Result<PathBuf, String> {
-    std::fs::create_dir_all(dir).map_err(|e| format!("creating artifact dir {dir:?}: {e}"))?;
-    let artifact = TraceArtifact {
-        schema_version: 1,
-        reason: format!("campaign:{}", violation.violated.join("+")),
-        max_steps: violation.max_steps as u64,
-        trace: shrunk.clone(),
-    };
-    let json = serde_json::to_string_pretty(&artifact)
-        .map_err(|e| format!("serializing artifact: {e}"))?;
-    let path = dir.join(format!("campaign-{sig}.json"));
-    let tmp = dir.join(format!(".campaign-{sig}.json.tmp"));
-    std::fs::write(&tmp, json).map_err(|e| format!("writing artifact {tmp:?}: {e}"))?;
-    std::fs::rename(&tmp, &path).map_err(|e| format!("publishing artifact {path:?}: {e}"))?;
-    Ok(path)
 }
 
 /// Replays `trace` through a fresh guarded system and returns the

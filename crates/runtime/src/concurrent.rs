@@ -7,10 +7,9 @@
 //! makes every operation trivially linearizable — the point here is the
 //! memory *semantics*, not lock-free performance.
 
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard};
 
 use act_topology::{ColorSet, ProcessId};
-use parking_lot::Mutex;
 
 /// A shareable, linearizable atomic-snapshot memory.
 ///
@@ -40,20 +39,25 @@ impl<T: Clone> SharedSnapshotMemory<T> {
         }
     }
 
+    /// Takes the global lock. No operation leaves the slots half-written,
+    /// so a lock poisoned by a panicking holder is safe to reuse.
+    fn slots(&self) -> MutexGuard<'_, Vec<Option<T>>> {
+        self.inner.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
     /// Atomically replaces `p`'s slot.
     pub fn update(&self, p: ProcessId, value: T) {
-        self.inner.lock()[p.index()] = Some(value);
+        self.slots()[p.index()] = Some(value);
     }
 
     /// Atomically reads all slots.
     pub fn snapshot(&self) -> Vec<Option<T>> {
-        self.inner.lock().clone()
+        self.slots().clone()
     }
 
     /// The set of processes that have written.
     pub fn participants(&self) -> ColorSet {
-        self.inner
-            .lock()
+        self.slots()
             .iter()
             .enumerate()
             .filter(|(_, s)| s.is_some())
@@ -70,10 +74,10 @@ mod tests {
     fn concurrent_updates_are_all_visible() {
         let n = 8;
         let mem: SharedSnapshotMemory<usize> = SharedSnapshotMemory::new(n);
-        crossbeam::scope(|s| {
+        std::thread::scope(|s| {
             for i in 0..n {
                 let mem = mem.clone();
-                s.spawn(move |_| {
+                s.spawn(move || {
                     for round in 0..100 {
                         mem.update(ProcessId::new(i), round * n + i);
                         let snap = mem.snapshot();
@@ -82,8 +86,7 @@ mod tests {
                     }
                 });
             }
-        })
-        .unwrap();
+        });
         assert_eq!(mem.participants(), ColorSet::full(n));
         let snap = mem.snapshot();
         for (i, slot) in snap.iter().enumerate() {
@@ -98,15 +101,15 @@ mod tests {
         // after reading process 0's latest).
         let mem: SharedSnapshotMemory<usize> = SharedSnapshotMemory::new(2);
         mem.update(ProcessId::new(0), 0);
-        crossbeam::scope(|s| {
+        std::thread::scope(|s| {
             let writer = mem.clone();
-            s.spawn(move |_| {
+            s.spawn(move || {
                 for v in 1..500 {
                     writer.update(ProcessId::new(0), v);
                 }
             });
             let chaser = mem.clone();
-            s.spawn(move |_| {
+            s.spawn(move || {
                 for _ in 0..500 {
                     let seen = chaser.snapshot()[0].unwrap();
                     chaser.update(ProcessId::new(1), seen);
@@ -114,7 +117,6 @@ mod tests {
                     assert!(after[0].unwrap() >= after[1].unwrap());
                 }
             });
-        })
-        .unwrap();
+        });
     }
 }

@@ -905,18 +905,17 @@ fn campaign(args: &[String]) -> Result<Option<String>, FactError> {
     if let Some(stray) = args.get(1) {
         return Err(FactError::Usage(format!("unexpected argument {stray:?}")));
     }
+    let mut config = act_campaign::CampaignConfig::new(spec);
     // Validate an invariant selection up front so an unknown name is a
     // usage error (exit 2), not a runtime failure mid-campaign.
     if let Some(selection) = &invariants {
-        let family = if spec.starts_with("fpc:") {
+        let family = if config.is_fpc() {
             act_campaign::FAMILY_FPC
         } else {
             act_campaign::FAMILY_ADVERSARIAL
         };
         act_campaign::resolve_invariant_names(Some(selection), family).map_err(FactError::Usage)?;
     }
-
-    let mut config = act_campaign::CampaignConfig::new(spec);
     config.scope = match scope_kind.as_deref() {
         None | Some("sampled") => act_campaign::Scope::Sampled {
             samples: samples.unwrap_or(100_000) as u64,

@@ -9,6 +9,8 @@ use std::sync::OnceLock;
 
 use act_campaign::{chaos, run_campaign_in, CampaignConfig, CampaignContext, Scope};
 
+mod common;
+
 fn ctx() -> &'static CampaignContext {
     static CTX: OnceLock<CampaignContext> = OnceLock::new();
     CTX.get_or_init(|| CampaignContext::new("t-res:3:1", false).expect("context builds"))
@@ -153,4 +155,55 @@ fn exhaustive_campaign_resumes_after_a_kill() {
     assert!(resumed.done);
     assert_eq!(resumed.resumed_from, 40);
     assert_eq!(resumed.coverage, reference.coverage);
+}
+
+/// The chassis's observable output is pinned: a small seeded sampled
+/// campaign with two injected violations, and an exhaustive one whose
+/// run count is an exact multiple of the batch, reproduce the committed
+/// checkpoint lines and artifact files byte for byte, at 1 and 3
+/// workers.
+#[test]
+fn campaigns_reproduce_their_fixture_bytes() {
+    for workers in [1, 3] {
+        let dir = temp_dir(&format!("fixture-sampled-w{workers}"));
+        let mut config = base_config(&dir);
+        config.scope = Scope::Sampled { samples: 600 };
+        config.workers = workers;
+        config.batch = 200;
+        config.inject_liveness = vec![123, 477];
+        config.artifacts = Some(dir.clone());
+        run_campaign_in(ctx(), &config).expect("sampled campaign");
+        common::assert_matches_fixture(&dir, "campaign_adversarial");
+
+        let dir = temp_dir(&format!("fixture-exhaustive-w{workers}"));
+        let mut config = base_config(&dir);
+        config.scope = Scope::Exhaustive { max_depth: 4 };
+        config.workers = workers;
+        config.batch = 27;
+        config.inject_liveness.clear();
+        config.artifacts = Some(dir.clone());
+        run_campaign_in(ctx(), &config).expect("exhaustive campaign");
+        common::assert_matches_fixture(&dir, "campaign_exhaustive");
+    }
+}
+
+/// The kill hook is armed per thread: a campaign on another thread that
+/// crosses the armed cursor runs to completion, and only a campaign on
+/// the arming thread dies there.
+#[test]
+fn an_armed_kill_fires_only_on_the_arming_thread() {
+    let dir = temp_dir("kill-thread");
+    let mut config = base_config(&dir);
+    config.checkpoint = None;
+    chaos::kill_once_at_cursor(400);
+    let other = std::thread::scope(|s| s.spawn(|| run_campaign_in(ctx(), &config)).join());
+    let own = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+        run_campaign_in(ctx(), &config)
+    }));
+    chaos::disarm();
+    let other = other.expect("a campaign on another thread must not be killed");
+    assert_eq!(other.expect("campaign completes").cursor, 2_000);
+    let payload = own.expect_err("the arming thread's campaign must die at the armed cursor");
+    let message = payload.downcast_ref::<String>().expect("panic message");
+    assert!(message.contains("cursor 400"), "{message}");
 }

@@ -8,6 +8,8 @@ use act_campaign::{CampaignConfig, Scope, INVARIANT_FPC_REPLAY};
 use act_fpc::{run_stats, simulate_run, FpcSpec};
 use act_service::{summary_key, FpcCache};
 
+mod common;
+
 fn temp_dir(tag: &str) -> std::path::PathBuf {
     let dir = std::env::temp_dir().join(format!("fact-fpcwl-{tag}-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
@@ -115,4 +117,23 @@ fn fpc_configs_admit_fpc_invariants_only() {
         err.contains("adversarial"),
         "cross-family error names the family: {err}"
     );
+}
+
+/// The chassis's observable output is pinned: a small seeded FPC
+/// campaign with two injected flips reproduces the committed checkpoint
+/// lines and artifact file byte for byte, at 1 and 3 workers.
+#[test]
+fn fpc_campaign_reproduces_its_fixture_bytes() {
+    for workers in [1, 3] {
+        let dir = temp_dir(&format!("fixture-w{workers}"));
+        let mut config = fpc_config("fpc:32:8:berserk:10:700", 120, workers);
+        config.seed = 64199;
+        config.batch = 40;
+        config.inject_liveness = vec![10, 70];
+        config.checkpoint = Some(dir.join("ckpt.jsonl"));
+        config.artifacts = Some(dir.clone());
+        act_campaign::run_campaign(&config).unwrap();
+        common::assert_matches_fixture(&dir, "campaign_fpc");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
 }
