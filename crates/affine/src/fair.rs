@@ -52,7 +52,10 @@ pub enum CriticalSideCondition {
 }
 
 /// Builds the affine task `R_A` for the fair-adversary model with agreement
-/// function `alpha`, using the default (union) side condition.
+/// function `alpha`, using the default (union) side condition. The task
+/// records `alpha` ([`AffineTask::agreement_function`]), which is what lets
+/// the solver construct set-consensus witnesses from the leader map `µ_Π`
+/// instead of searching for them.
 ///
 /// # Panics
 ///
@@ -87,7 +90,7 @@ pub fn fair_affine_task_with(alpha: &AgreementFunction, side: CriticalSideCondit
     );
     let chr2 = Complex::standard(n).iterated_subdivision(2);
     let complex = restrict_to_fair(&chr2, alpha, side);
-    AffineTask::new(format!("R_A[{side:?}]"), complex)
+    AffineTask::new(format!("R_A[{side:?}]"), complex).with_agreement_function(alpha)
 }
 
 /// The facet filter of Definition 9, applied to a level-2 complex.

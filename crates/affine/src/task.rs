@@ -4,6 +4,7 @@
 use std::collections::HashMap;
 use std::fmt;
 
+use act_adversary::AgreementFunction;
 use act_topology::{all_recipes, ColorSet, Complex, ProcessId, Recipe, Simplex, VertexId};
 
 /// Process-global count of affine subdivision rounds: one per
@@ -32,6 +33,9 @@ pub static APPLY_CALLS: act_obs::Counter = act_obs::Counter::new("affine.apply_t
 pub struct AffineTask {
     name: String,
     complex: Complex,
+    /// The agreement function this task was built from, when it is a
+    /// fair `R_A` ([`crate::fair_affine_task`]); `None` otherwise.
+    alpha: Option<AgreementFunction>,
 }
 
 impl AffineTask {
@@ -60,7 +64,14 @@ impl AffineTask {
         AffineTask {
             name: name.into(),
             complex,
+            alpha: None,
         }
+    }
+
+    /// Records the agreement function a fair `R_A` was built from.
+    pub(crate) fn with_agreement_function(mut self, alpha: &AgreementFunction) -> AffineTask {
+        self.alpha = Some(alpha.clone());
+        self
     }
 
     /// The task's display name.
@@ -76,6 +87,13 @@ impl AffineTask {
     /// The output complex `L`.
     pub fn complex(&self) -> &Complex {
         &self.complex
+    }
+
+    /// The agreement function `α` this task is the `R_A` of, when it was
+    /// built by [`crate::fair_affine_task`]. Tasks made by
+    /// [`AffineTask::new`] or [`AffineTask::from_recipes`] carry none.
+    pub fn agreement_function(&self) -> Option<&AgreementFunction> {
+        self.alpha.as_ref()
     }
 
     /// The carrier-map value `Δ(t) = L ∩ Chr²(t)` for the face of `s`
@@ -317,6 +335,19 @@ mod tests {
         let back: Vec<Recipe> = serde_json::from_str(&json).unwrap();
         let rebuilt = AffineTask::from_recipes("roundtrip", 3, &back);
         assert!(rebuilt.complex().same_complex(task.complex()));
+    }
+
+    #[test]
+    fn only_fair_tasks_carry_their_agreement_function() {
+        use crate::fair::{fair_affine_task, fair_affine_task_with, CriticalSideCondition};
+        let alpha = act_adversary::AgreementFunction::k_concurrency(3, 2);
+        let fair = fair_affine_task(&alpha);
+        assert_eq!(fair.agreement_function(), Some(&alpha));
+        let triple = fair_affine_task_with(&alpha, CriticalSideCondition::TripleIntersection);
+        assert_eq!(triple.agreement_function(), Some(&alpha));
+        assert_eq!(wait_free(3).agreement_function(), None);
+        let rebuilt = AffineTask::from_recipes("rebuilt", 3, &fair.to_recipes());
+        assert_eq!(rebuilt.agreement_function(), None);
     }
 
     #[test]

@@ -13,13 +13,20 @@
 //! Properties 9 (validity), 10 (agreement ≤ `α(carrier)`) and 12
 //! (robustness: only `Q ∩ carrier(v, s)` matters) are verified by the
 //! test-suite and exhaustively by the `exp_leader` bench.
+//!
+//! Together, Properties 9 and 10 make "decide the input of `µ_Π(v)`" a
+//! carried chromatic map `R_A(I) → O` with at most `α(Π)` values — the
+//! paper's own one-iteration witness for `k`-set consensus whenever
+//! `k ≥ α(Π)`. [`leader_map_witness`] builds it, so the solver answers
+//! that side by construction instead of by search.
 
 use std::cell::RefCell;
 use std::collections::HashMap;
 
 use act_adversary::AgreementFunction;
-use act_affine::CriticalAnalysis;
-use act_topology::{ColorSet, Complex, ProcessId, Simplex, VertexId};
+use act_affine::{AffineTask, CriticalAnalysis};
+use act_tasks::{SetConsensus, Task};
+use act_topology::{ColorSet, Complex, ProcessId, Simplex, VertexId, VertexMap};
 
 /// Evaluator of `µ_Q` over a fixed level-2 complex (an affine task `R_A`)
 /// and agreement function.
@@ -114,6 +121,61 @@ impl<'a> LeaderMap<'a> {
             .min()
             .expect("selected view intersects Q")
     }
+}
+
+/// The leader-map witness for `task` on `domain = R_A(I)`: every used
+/// domain vertex `v` decides the input of its leader, i.e. maps to the
+/// output vertex `(χ(v), input of µ_Π(v))`.
+///
+/// Returns `None` unless `affine` carries its agreement function (only
+/// [`act_affine::fair_affine_task`] records one), `task.k() ≥ α(Π)`, and
+/// `domain` is a single application of `R_A` (subdivision level 2). The
+/// map is a witness by Properties 9 and 10; callers that rely on it still
+/// check it with [`act_tasks::verify_carried_map`].
+pub fn leader_map_witness(
+    task: &SetConsensus,
+    affine: &AffineTask,
+    domain: &Complex,
+) -> Option<VertexMap> {
+    leader_map_witness_for(task, affine.agreement_function()?, domain)
+}
+
+/// [`leader_map_witness`] with the agreement function given explicitly.
+pub(crate) fn leader_map_witness_for(
+    task: &SetConsensus,
+    alpha: &AgreementFunction,
+    domain: &Complex,
+) -> Option<VertexMap> {
+    let n = task.num_processes();
+    let everyone = ColorSet::full(n);
+    if domain.level() != 2
+        || domain.num_processes() != n
+        || alpha.num_processes() != n
+        || task.k() < alpha.alpha(everyone)
+    {
+        return None;
+    }
+    let outputs = task.outputs();
+    let output_vertex: HashMap<(ProcessId, u64), VertexId> = (0..outputs.num_vertices())
+        .map(VertexId::from_index)
+        .map(|w| ((outputs.color(w), outputs.vertex(w).label), w))
+        .collect();
+    let base = domain.base();
+    let leaders = LeaderMap::new(domain, alpha);
+    let mut map = VertexMap::new();
+    for v in domain.used_vertices() {
+        let leader = leaders.mu_q(v, everyone);
+        // Property 9: the leader was observed, so its input vertex lies
+        // in the base carrier of `v`.
+        let input = *domain
+            .carrier_in_base(&Simplex::vertex(v))
+            .vertices()
+            .iter()
+            .find(|&&b| base.color(b) == leader)?;
+        let image = output_vertex.get(&(domain.color(v), base.vertex(input).label))?;
+        map.set(v, *image);
+    }
+    Some(map)
 }
 
 #[cfg(test)]

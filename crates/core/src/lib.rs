@@ -18,7 +18,8 @@
 //!   (re-exported as [`runtime`]);
 //! * **Algorithm 1** — solving `R_A` in the α-model
 //!   ([`AlgorithmOneSystem`], Theorem 7);
-//! * **`µ_Q` leader election** — [`LeaderMap`] (Properties 9, 10, 12);
+//! * **`µ_Q` leader election** — [`LeaderMap`] (Properties 9, 10, 12),
+//!   and [`leader_map_witness`], the set-consensus witness it induces;
 //! * **the Section-6 simulation** — α-adaptive set consensus and atomic
 //!   snapshots inside `R_A^*` ([`AdaptiveSetConsensus`],
 //!   [`SnapshotSimulation`], Theorem 15);
@@ -65,7 +66,7 @@ pub use iterated::{
     alpha_model_set_consensus, execute_affine_iterations, executed_set_consensus,
     object_model_set_consensus,
 };
-pub use leader::LeaderMap;
+pub use leader::{leader_map_witness, LeaderMap};
 pub use protocol_complex::{explored_protocol_complex, sampled_protocol_complex, OutputSystem};
 pub use report::{validate_report_json, RunReport, REPORT_SCHEMA_VERSION};
 pub use simulation::{
@@ -76,6 +77,6 @@ pub use solver::{
     affine_domain, affine_domain_cached, set_consensus_verdict, set_consensus_verdict_cached,
     set_consensus_verdict_with_config, solve_in_fair_model, solve_in_model,
     solve_in_model_with_config, DomainCache, DomainExpansion, Solvability, TowerPersistence,
-    DOMAIN_CACHE_EVICTIONS, DOMAIN_CACHE_ORBIT_HITS,
+    DOMAIN_CACHE_EVICTIONS, DOMAIN_CACHE_ORBIT_HITS, LEADER_MAP_REJECTED,
 };
 pub use spec::{ModelSpec, TaskSpec, MAX_PROCESSES};

@@ -1,13 +1,33 @@
 //! The FACT solvability pipeline (Theorem 16): decide whether a task is
 //! solvable in a fair adversarial model by searching for a chromatic
 //! simplicial map from iterations of `R_A` applied to the task's inputs.
+//!
+//! [`set_consensus_verdict_with_config`] routes each `k`-set consensus
+//! query one of three ways, reported as the `route` of its
+//! `solver.set_consensus` event:
+//!
+//! * `sperner` — `k = n − 1` on a subdivided simplex: unsolvable by
+//!   Sperner's lemma, no search;
+//! * `leader-map` — `k ≥ α(Π)` at `ℓ = 1` on an `R_A` that carries its
+//!   agreement function: the paper's own witness, "decide the input of
+//!   `µ_Π(v)`" ([`leader_map_witness`](crate::leader_map_witness)), is
+//!   built and checked with [`verify_carried_map`]. A witness that fails
+//!   the check is a bug: it is counted by [`LEADER_MAP_REJECTED`],
+//!   reported by a `solver.leader_map.rejected` event, and the query
+//!   falls through to the search;
+//! * `search` — the carried-map CSP of [`act_tasks`] for everything
+//!   else, in particular the unsolvable side.
 
 use act_adversary::AgreementFunction;
 use act_affine::AffineTask;
-use act_tasks::{find_carried_map_with_config, SearchConfig, SearchResult, Task};
+use act_tasks::{
+    find_carried_map_with_config, verify_carried_map, SearchConfig, SearchResult, Task,
+};
 use act_topology::{
     canonical_pair_hashes, permute_complex, ColorPerm, Complex, VertexMap, SYMMETRY_MAX_DEGREE,
 };
+
+use crate::leader::leader_map_witness_for;
 
 /// The verdict of the bounded FACT pipeline.
 #[derive(Clone, Debug)]
@@ -96,6 +116,13 @@ pub trait TowerPersistence: Send + Sync {
     /// a correctness dependency.
     fn store_level(&self, affine_hash: u128, inputs_hash: u128, level: usize, domain: &Complex);
 }
+
+/// Process-global count of leader-map witnesses that failed
+/// [`verify_carried_map`] (see [`set_consensus_verdict_with_config`]).
+/// Properties 9 and 10 say this never happens, so any count is a bug
+/// signal; the affected queries were answered by the search instead.
+pub static LEADER_MAP_REJECTED: act_obs::Counter =
+    act_obs::Counter::new("solver.leader_map.rejected");
 
 /// Process-global count of towers evicted from [`DomainCache`]s (the
 /// bounded per-cache LRU overflowed). Pairs with the `domain.cache.evict`
@@ -703,10 +730,33 @@ pub fn set_consensus_verdict_cached(
 /// [`set_consensus_verdict_cached`] with explicit engine knobs
 /// ([`SearchConfig`]): thread count and the optional wall-clock
 /// deadline, which surfaces as [`Solvability::TimedOut`].
+///
+/// Tries the Sperner certificate, then the leader-map witness, then the
+/// search (see the module documentation).
 pub fn set_consensus_verdict_with_config(
     cache: &mut DomainCache,
     task: &act_tasks::SetConsensus,
     affine: &AffineTask,
+    iterations: usize,
+    config: &SearchConfig,
+) -> Solvability {
+    set_consensus_verdict_routed(
+        cache,
+        task,
+        affine,
+        affine.agreement_function(),
+        iterations,
+        config,
+    )
+}
+
+/// [`set_consensus_verdict_with_config`] with the agreement function the
+/// leader-map route uses given explicitly (`None` skips the route).
+fn set_consensus_verdict_routed(
+    cache: &mut DomainCache,
+    task: &act_tasks::SetConsensus,
+    affine: &AffineTask,
+    alpha: Option<&AgreementFunction>,
     iterations: usize,
     config: &SearchConfig,
 ) -> Solvability {
@@ -729,6 +779,26 @@ pub fn set_consensus_verdict_with_config(
             return Solvability::NoMapUpTo {
                 max_iterations: iterations,
             };
+        }
+    }
+    if let Some(map) = alpha.and_then(|a| leader_map_witness_for(task, a, &domain)) {
+        if verify_carried_map(task, &domain, &map) {
+            if act_obs::enabled() {
+                span.finish()
+                    .str("route", "leader-map")
+                    .str("verdict", "solvable")
+                    .u64("k", task.k() as u64)
+                    .u64("domain_facets", domain.facet_count() as u64)
+                    .emit();
+            }
+            return Solvability::Solvable { iterations, map };
+        }
+        LEADER_MAP_REJECTED.add(1);
+        if act_obs::enabled() {
+            act_obs::event("solver.leader_map.rejected")
+                .u64("k", task.k() as u64)
+                .u64("domain_facets", domain.facet_count() as u64)
+                .emit();
         }
     }
     let (result, stats) = find_carried_map_with_config(task, &domain, config);
@@ -839,12 +909,21 @@ mod tests {
         i.sub_complex(vec![rainbow])
     }
 
+    /// Serializes the tests that install the process-global event sink
+    /// or emit `solver.set_consensus` events, so one test's sink never
+    /// counts another test's routes.
+    fn sink_guard() -> std::sync::MutexGuard<'static, ()> {
+        static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
+        LOCK.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
     #[test]
     fn exhausted_and_sperner_routes_emit_matching_telemetry() {
         // Other tests in this binary may run concurrently and emit their
         // own events into the process-global sink, so assert on the
         // presence and shape of the events this test provokes rather
         // than on exact totals.
+        let _guard = sink_guard();
         let sink = act_obs::MemorySink::shared();
         act_obs::install(sink.clone());
         let nodes_before = act_tasks::SEARCH_NODES.get();
@@ -896,10 +975,67 @@ mod tests {
     }
 
     #[test]
+    fn a_rejected_leader_map_falls_through_to_the_search() {
+        // The route builds µ_Π from the α it is given. Paired with the R_A
+        // it came from, the witness verifies; paired with the wait-free
+        // R_A (which keeps runs this α rules out), it must fail the
+        // check, be counted and emitted, and leave the verdict to the
+        // search — which proves consensus unsolvable there.
+        let _guard = sink_guard();
+        let sink = act_obs::MemorySink::shared();
+        act_obs::install(sink.clone());
+        let t = consensus(3, &[0, 1]);
+        let inputs = t.rainbow_inputs();
+        let alpha = AgreementFunction::of_adversary(&Adversary::k_obstruction_free(3, 1));
+        let config = SearchConfig::new(2_000_000);
+        let rejected_before = LEADER_MAP_REJECTED.get();
+
+        let own = act_affine::fair_affine_task(&alpha);
+        let mut cache = DomainCache::new();
+        let verdict = set_consensus_verdict_with_config(&mut cache, &t, &own, 1, &config);
+        assert!(matches!(
+            verdict,
+            Solvability::Solvable { iterations: 1, .. }
+        ));
+        assert_eq!(LEADER_MAP_REJECTED.get(), rejected_before);
+
+        let wait_free = act_affine::wait_free_task(3);
+        let routed =
+            set_consensus_verdict_routed(&mut cache, &t, &wait_free, Some(&alpha), 1, &config);
+        act_obs::uninstall();
+        assert_eq!(LEADER_MAP_REJECTED.get() - rejected_before, 1);
+        let domain = affine_domain(&wait_free, &inputs, 1);
+        assert!(find_carried_map(&t, &domain, 2_000_000).is_unsolvable());
+        assert!(
+            matches!(routed, Solvability::NoMapUpTo { max_iterations: 1 }),
+            "the search's no-map stands, got {routed:?}"
+        );
+
+        let lines = sink.lines();
+        let routes: Vec<&String> = lines
+            .iter()
+            .filter(|l| l.contains("\"ev\":\"solver.set_consensus\""))
+            .collect();
+        assert_eq!(routes.len(), 2, "one set-consensus event per verdict");
+        assert!(
+            routes[0].contains("\"route\":\"leader-map\""),
+            "{}",
+            routes[0]
+        );
+        assert!(routes[1].contains("\"route\":\"search\""), "{}", routes[1]);
+        let rejections = lines
+            .iter()
+            .filter(|l| l.contains("\"ev\":\"solver.leader_map.rejected\""))
+            .count();
+        assert_eq!(rejections, 1);
+    }
+
+    #[test]
     fn domain_cache_matches_from_scratch_builds() {
         // The incremental tower must be structurally equal (`==`, not just
         // same_complex) to affine_domain's from-scratch rebuilds at every
         // level, in any query order, and invalidate on key change.
+        let _guard = sink_guard();
         let alpha = AgreementFunction::of_adversary(&Adversary::t_resilient(3, 1));
         let affine = act_affine::fair_affine_task(&alpha);
         let t = SetConsensus::new(3, 2, &[0, 1, 2]);
@@ -962,6 +1098,7 @@ mod tests {
 
     #[test]
     fn overflowing_the_tower_capacity_evicts_lru_with_an_event() {
+        let _guard = sink_guard();
         let sink = act_obs::MemorySink::shared();
         act_obs::install(sink.clone());
         let evictions_before = DOMAIN_CACHE_EVICTIONS.get();

@@ -1248,8 +1248,9 @@ mod tests {
     #[test]
     fn zero_deadline_times_out_the_solve() {
         // A deadline that has already expired must surface as TimedOut
-        // (exit 4), never as Exhausted or a hang.
-        let e = run(&["solve".into(), "k-of:3:1".into(), "1".into()], Some(0)).unwrap_err();
+        // (exit 4), never as Exhausted or a hang. t-res:4:2 at k = 2 lies
+        // below α(Π) = 3, so the search (not the leader map) answers it.
+        let e = run(&["solve".into(), "t-res:4:2".into(), "2".into()], Some(0)).unwrap_err();
         assert!(matches!(e, FactError::TimedOut { .. }), "got {e:?}");
         assert_eq!(e.exit_code(), 4);
     }

@@ -169,6 +169,7 @@ mod tests {
 
     #[test]
     fn second_query_is_a_store_hit_across_cache_instances() {
+        let _serial = crate::test_serial_guard();
         let root = temp_store("hit");
         let spec = FpcSpec::parse("fpc:16:4:berserk:5:500").unwrap();
         let cache = FpcCache::open(&root).unwrap();
@@ -188,6 +189,7 @@ mod tests {
 
     #[test]
     fn corrupt_entries_degrade_to_misses() {
+        let _serial = crate::test_serial_guard();
         let root = temp_store("corrupt");
         let spec = FpcSpec::parse("fpc:16:4:berserk:5:500").unwrap();
         let cache = FpcCache::open(&root).unwrap();

@@ -18,8 +18,8 @@
 //! * [`scheduler`] — a **batching + single-flight scheduler**: identical
 //!   in-flight queries coalesce to one engine run, a worker pool shares
 //!   warmed [`DomainCache`](fact::DomainCache) towers (and the affine
-//!   task `R_A` itself) per model, and workers pick jobs cache-aware
-//!   (same model/task adjacency). Each job runs under the deadline /
+//!   task `R_A` itself) per agreement function, and workers pick jobs
+//!   cache-aware (same-α adjacency). Each job runs under the deadline /
 //!   degraded-engine machinery, and a `timed-out` / `exhausted` verdict
 //!   is reported to the requester but **never persisted** as
 //!   authoritative;

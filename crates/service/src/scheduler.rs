@@ -15,11 +15,13 @@
 //!    ([`SERVE_REJECTED`](crate::SERVE_REJECTED)).
 //!
 //! Admitted jobs are served by a worker pool. Workers are **cache-aware**:
-//! each prefers the queued job whose `(model, task)` matches the tower it
-//! just warmed, so a mixed workload naturally batches by model and the
-//! shared [`DomainCache`] towers (plus the memoized `R_A` itself) are
-//! extended, not rebuilt. Towers live in a small LRU so a long-running
-//! server's memory stays bounded.
+//! each prefers the queued job whose agreement function matches the
+//! tower slot it just warmed, so a mixed workload naturally batches by
+//! model and the shared [`DomainCache`] towers (plus the memoized `R_A`
+//! itself) are extended, not rebuilt. A slot is keyed by the canonical α
+//! table alone ([`SolveQuery::tower_key`]): `R_A` is a function of α, so
+//! every spelling of one model and every `k` share one `R_A`. Slots live
+//! in a small LRU so a long-running server's memory stays bounded.
 //!
 //! Every engine run goes through the deadline / degraded-engine
 //! machinery ([`SearchConfig`]); a `timed-out` or `exhausted` outcome is
@@ -60,7 +62,8 @@ pub struct ServeConfig {
     /// Engine threads per run (`None` = the environment's
     /// `mapsearch_threads()` default).
     pub threads: Option<usize>,
-    /// How many warmed `(model, task)` towers to keep resident.
+    /// How many warmed tower slots to keep resident: one per agreement
+    /// function, each holding its `R_A` and the towers of its `k`s.
     pub tower_capacity: usize,
 }
 
@@ -96,15 +99,18 @@ impl SolveQuery {
         StoreKey::new(&self.model, &self.task, self.iters)
     }
 
-    /// The identity of the warmed state this query can reuse: jobs with
-    /// equal tower keys share one `R_A` and one `DomainCache`, whatever
-    /// their `ℓ`.
+    /// The identity of the warmed state this query can reuse: the
+    /// model's canonical α table (`alpha:N:<table>`). `R_A` is a function
+    /// of α alone, so jobs with equal tower keys share one `R_A` and one
+    /// `DomainCache` whatever their spelling, `k` or `ℓ`; the cache holds
+    /// one tower per `k` (one rainbow input complex each).
     pub fn tower_key(&self) -> String {
-        format!(
-            "{}|{}",
-            self.model.canonical_string(),
-            self.task.canonical_string()
-        )
+        let alpha = self.model.agreement_function();
+        ModelSpec::Alpha {
+            n: alpha.num_processes(),
+            table: alpha.table().to_vec(),
+        }
+        .canonical_string()
     }
 }
 
@@ -152,9 +158,12 @@ pub enum Submitted {
     Draining,
 }
 
-/// A queued job: the canonical key plus the query it answers.
+/// A queued job: the canonical key, the tower slot it warms (computed
+/// once, since workers compare it on every pick) and the query it
+/// answers.
 struct Job {
     key: StoreKey,
+    tower: String,
     query: SolveQuery,
 }
 
@@ -169,8 +178,8 @@ struct SchedState {
     draining: bool,
 }
 
-/// A warmed per-`(model, task)` tower: the affine task `R_A` and the
-/// incremental `R_A^ℓ` domain cache, plus an LRU stamp.
+/// A warmed per-agreement-function tower slot: the affine task `R_A` and
+/// the incremental `R_A^ℓ` domain cache.
 struct TowerSlot {
     affine: AffineTask,
     cache: DomainCache,
@@ -270,6 +279,7 @@ impl Scheduler {
                 source: "store",
             });
         }
+        let tower = query.tower_key();
         let mut state = self.lock_state();
         if state.draining {
             return Submitted::Draining;
@@ -289,7 +299,7 @@ impl Scheduler {
         SERVE_MISS.add(1);
         let (tx, rx) = channel();
         state.inflight.insert(key.clone(), vec![tx]);
-        state.queue.push_back(Job { key, query });
+        state.queue.push_back(Job { key, tower, query });
         SERVE_QUEUE_DEPTH.set(state.queue.len() as u64);
         drop(state);
         self.job_ready.notify_one();
@@ -355,9 +365,9 @@ impl Scheduler {
     fn worker_loop(self: Arc<Scheduler>) {
         let mut last_tower: Option<String> = None;
         while let Some(job) = self.next_job(last_tower.as_deref()) {
-            last_tower = Some(job.query.tower_key());
-            let result = self.compute(&job.query);
+            let result = self.compute(&job.tower, &job.query);
             self.finish(&job.key, result);
+            last_tower = Some(job.tower);
         }
     }
 
@@ -369,7 +379,7 @@ impl Scheduler {
         loop {
             if !state.queue.is_empty() {
                 let pos = last_tower
-                    .and_then(|t| state.queue.iter().position(|j| j.query.tower_key() == t))
+                    .and_then(|t| state.queue.iter().position(|j| j.tower == t))
                     .unwrap_or(0);
                 let job = state.queue.remove(pos).expect("non-empty queue");
                 state.running += 1;
@@ -386,14 +396,18 @@ impl Scheduler {
         }
     }
 
-    /// The warmed tower for a query, building (and LRU-evicting) as
-    /// needed. Building fails when the model admits no runs.
-    fn tower_slot(&self, query: &SolveQuery) -> Result<Arc<Mutex<TowerSlot>>, String> {
-        let tower_key = query.tower_key();
+    /// The warmed tower slot `tower_key` of a query, building (and
+    /// LRU-evicting) as needed. Building fails when the model admits no
+    /// runs.
+    fn tower_slot(
+        &self,
+        tower_key: &str,
+        query: &SolveQuery,
+    ) -> Result<Arc<Mutex<TowerSlot>>, String> {
         let mut towers = self.towers.lock().unwrap_or_else(|e| e.into_inner());
         towers.clock += 1;
         let clock = towers.clock;
-        if let Some((slot, stamp)) = towers.slots.get_mut(&tower_key) {
+        if let Some((slot, stamp)) = towers.slots.get_mut(tower_key) {
             *stamp = clock;
             return Ok(Arc::clone(slot));
         }
@@ -412,7 +426,9 @@ impl Scheduler {
             affine: fair_affine_task(&alpha),
             cache,
         }));
-        towers.slots.insert(tower_key, (Arc::clone(&slot), clock));
+        towers
+            .slots
+            .insert(tower_key.to_string(), (Arc::clone(&slot), clock));
         while towers.slots.len() > self.config.tower_capacity.max(1) {
             let Some(oldest) = towers
                 .slots
@@ -429,8 +445,8 @@ impl Scheduler {
 
     /// Runs the engine for one job: warmed tower, shared deepening loop,
     /// panic containment, store write for authoritative verdicts only.
-    fn compute(&self, query: &SolveQuery) -> Served {
-        let slot = match self.tower_slot(query) {
+    fn compute(&self, tower_key: &str, query: &SolveQuery) -> Served {
+        let slot = match self.tower_slot(tower_key, query) {
             Ok(slot) => slot,
             Err(error) => {
                 return Served::Failed {
@@ -468,7 +484,7 @@ impl Scheduler {
                     .lock()
                     .unwrap_or_else(|e| e.into_inner())
                     .slots
-                    .remove(&query.tower_key());
+                    .remove(tower_key);
                 return Served::Failed {
                     error: "engine panicked".into(),
                     code: CODE_RUNTIME,
@@ -609,6 +625,29 @@ mod tests {
         // not a hang.
         sched.drain();
         assert!(matches!(sched.submit(query(3)), Submitted::Draining));
+    }
+
+    #[test]
+    fn tower_keys_name_the_agreement_function_not_the_spelling_or_task() {
+        let query = |model: &str, k: usize| SolveQuery {
+            model: ModelSpec::parse(model, false).unwrap(),
+            task: TaskSpec::set_consensus(4, k).unwrap(),
+            iters: 1,
+            deadline_ms: None,
+        };
+        // t-res:4:1: α(P) = 1 on the four triples, 2 on Π, 0 below.
+        let spellings = [
+            "t-res:4:1",
+            "alpha:4:0000000100010112",
+            "custom:4:{p1,p2,p3};{p1,p2,p4};{p1,p3,p4};{p2,p3,p4};{p1,p2,p3,p4}",
+        ];
+        let key = query("t-res:4:1", 1).tower_key();
+        for model in spellings {
+            for k in 1..=3 {
+                assert_eq!(query(model, k).tower_key(), key, "{model} at k = {k}");
+            }
+        }
+        assert_ne!(query("t-res:4:2", 1).tower_key(), key);
     }
 
     fn kind(s: &Submitted) -> &'static str {

@@ -544,16 +544,17 @@ mod tests {
     fn timed_out_solves_are_reported_but_never_stored() {
         let _serial = crate::test_serial_guard();
         let ctx = test_ctx();
-        // k-of:3:1 solves 1-set consensus, so the search has real work to
-        // do — a zero deadline must expire before it finds the map.
-        let line = r#"{"op":"solve","id":1,"model":"k-of:3:1","k":1,"deadline_ms":0}"#;
+        // t-res:4:2 at k = 2 lies below α(Π) = 3, so no leader-map witness
+        // answers it: the search has real work to do, and a zero deadline
+        // must expire before it finds the map.
+        let line = r#"{"op":"solve","id":1,"model":"t-res:4:2","k":2,"deadline_ms":0}"#;
         let (resp, _) = handle_line(&ctx, line);
         assert!(resp.ok, "a timed-out answer is still an answered request");
         assert_eq!(resp.verdict.as_deref(), Some("timed-out"));
         assert_eq!(resp.authoritative, Some(false));
         let key = SolveQuery {
-            model: ModelSpec::parse("k-of:3:1", false).unwrap(),
-            task: TaskSpec::set_consensus(3, 1).unwrap(),
+            model: ModelSpec::parse("t-res:4:2", false).unwrap(),
+            task: TaskSpec::set_consensus(4, 2).unwrap(),
             iters: 1,
             deadline_ms: None,
         }

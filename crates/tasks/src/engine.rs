@@ -135,8 +135,11 @@ pub static ENGINE_DEGRADED: act_obs::Counter = act_obs::Counter::new("engine.deg
 /// the same solvable instance); 3 = lex-leader symmetry breaking over
 /// the task's declared symmetries (only the lex-least witness of each
 /// solution orbit survives, so witnesses for symmetric instances moved
-/// again).
-pub const ENGINE_SCHEMA_VERSION: u32 = 3;
+/// again); 4 = set consensus at `k ≥ α(Π)` and `ℓ = 1` answered by the
+/// leader-map construction (`fact::leader_map_witness`) instead of the
+/// search (same verdicts, iteration counts and witness lengths;
+/// different witnesses).
+pub const ENGINE_SCHEMA_VERSION: u32 = 4;
 
 /// Deterministic fault-injection hooks for the parallel engine, used by
 /// the chaos suite: arm a root-branch index and the next parallel map

@@ -16,7 +16,8 @@ use act_topology::ColorSet;
 use fact::{ModelSpec, TaskSpec};
 use proptest::prelude::*;
 
-/// Serializes the tests that diff process-global counters.
+/// Serializes the tests that run a `Scheduler`: its workers move the
+/// process-global serving counters other tests diff.
 fn serial() -> MutexGuard<'static, ()> {
     static LOCK: Mutex<()> = Mutex::new(());
     LOCK.lock().unwrap_or_else(|e| e.into_inner())
@@ -169,6 +170,7 @@ fn alpha_verdicts_agree_with_their_adversary_specs_across_the_zoo() {
     // at n ≤ 4, `alpha:(A)` and A's own spec answer every k-set
     // consensus query identically through the full scheduler path —
     // distinct store keys, one truth.
+    let _guard = serial();
     let sched = Scheduler::new(Arc::new(VerdictStore::in_memory()), ServeConfig::default());
     sched.start_workers();
     // The empty adversary admits no runs, so it has no custom spelling

@@ -278,7 +278,8 @@ fn unreliable_verdicts_answer_but_never_persist() {
     };
     let sched = Scheduler::new(Arc::clone(&store), config);
     sched.start_workers();
-    let q = query("k-of:3:1", 1, 1);
+    // Below α(Π) = 3, so the search (not the leader map) answers it.
+    let q = query("t-res:4:2", 2, 1);
     let served = match sched.submit(q.clone()) {
         Submitted::Ready(s) => s,
         Submitted::Pending(rx) => rx.recv().unwrap(),
