@@ -25,8 +25,6 @@
 //! ([`ClusterClient::new`] takes the seed), keeping chaos runs
 //! replayable end to end.
 
-use std::io::{BufRead, BufReader, Write};
-use std::net::TcpStream;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
@@ -35,6 +33,7 @@ use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 
 use crate::protocol::{Response, CODE_BACKPRESSURE, CODE_DRAINING, CODE_USAGE};
+use crate::wire;
 use crate::SERVE_CLIENT_RETRIES;
 
 /// Retry shape of one [`ClusterClient`].
@@ -225,32 +224,14 @@ impl ClusterClient {
 
     /// One wire exchange with one peer.
     fn send_once(&self, addr: &str, line: &str) -> Result<Response, String> {
-        let target = addr
-            .parse::<std::net::SocketAddr>()
-            .map_err(|e| format!("bad address: {e}"))?;
-        let run = || -> std::io::Result<String> {
-            let stream = TcpStream::connect_timeout(
-                &target,
-                Duration::from_millis(self.policy.connect_timeout_ms),
-            )?;
-            stream.set_read_timeout(Some(Duration::from_millis(self.policy.io_timeout_ms)))?;
-            stream.set_write_timeout(Some(Duration::from_millis(self.policy.io_timeout_ms)))?;
-            let mut writer = stream.try_clone()?;
-            writer.write_all(line.as_bytes())?;
-            writer.write_all(b"\n")?;
-            writer.flush()?;
-            let mut reply = String::new();
-            let n = BufReader::new(stream).read_line(&mut reply)?;
-            if n == 0 {
-                return Err(std::io::Error::new(
-                    std::io::ErrorKind::UnexpectedEof,
-                    "connection closed before reply",
-                ));
-            }
-            Ok(reply)
-        };
-        let reply = run().map_err(|e| e.to_string())?;
-        serde_json::from_str::<Response>(reply.trim_end()).map_err(|e| format!("bad reply: {e}"))
+        let reply = wire::exchange(
+            addr,
+            line,
+            Duration::from_millis(self.policy.connect_timeout_ms),
+            Duration::from_millis(self.policy.io_timeout_ms),
+        )
+        .map_err(|e| e.to_string())?;
+        serde_json::from_str::<Response>(&reply).map_err(|e| format!("bad reply: {e}"))
     }
 
     /// The attempt's exponential backoff with multiplicative 0.5–1.5×

@@ -35,12 +35,11 @@
 //! therefore O(diff), and two idle peers provably agree when their
 //! roots match.
 
-use std::io::{BufRead, BufReader, Write};
-use std::net::TcpStream;
 use std::time::Duration;
 
 use crate::protocol::Response;
 use crate::store::VerdictStore;
+use crate::wire;
 use crate::{
     SERVE_MERKLE_MISMATCH, SERVE_PEER_FAILOVERS, SERVE_PEER_FORWARDS, SERVE_PEER_REPLICATIONS,
     SERVE_PEER_SYNC_PULLS, SERVE_PEER_UNREACHABLE,
@@ -225,31 +224,13 @@ impl Cluster {
             .peers
             .get(peer)
             .ok_or_else(|| format!("no peer {peer}"))?;
-        let attempt = || -> std::io::Result<String> {
-            let target = addr.parse::<std::net::SocketAddr>().map_err(|e| {
-                std::io::Error::new(std::io::ErrorKind::InvalidInput, e.to_string())
-            })?;
-            let stream = TcpStream::connect_timeout(
-                &target,
-                Duration::from_millis(self.config.connect_timeout_ms),
-            )?;
-            stream.set_read_timeout(Some(Duration::from_millis(self.config.io_timeout_ms)))?;
-            stream.set_write_timeout(Some(Duration::from_millis(self.config.io_timeout_ms)))?;
-            let mut writer = stream.try_clone()?;
-            writer.write_all(line.as_bytes())?;
-            writer.write_all(b"\n")?;
-            writer.flush()?;
-            let mut reply = String::new();
-            let n = BufReader::new(stream).read_line(&mut reply)?;
-            if n == 0 {
-                return Err(std::io::Error::new(
-                    std::io::ErrorKind::UnexpectedEof,
-                    "peer closed before replying",
-                ));
-            }
-            Ok(reply.trim_end().to_string())
-        };
-        attempt().map_err(|e| {
+        wire::exchange(
+            addr,
+            line,
+            Duration::from_millis(self.config.connect_timeout_ms),
+            Duration::from_millis(self.config.io_timeout_ms),
+        )
+        .map_err(|e| {
             SERVE_PEER_UNREACHABLE.add(1);
             if act_obs::enabled() {
                 act_obs::event("serve.peer.unreachable")

@@ -26,7 +26,10 @@
 //! * [`server`] — the **operational surface**: newline-delimited JSON
 //!   over TCP (or stdio for tests and pipelines), `stats` and
 //!   `shutdown` request types, bounded queue with explicit backpressure
-//!   replies, and graceful drain.
+//!   replies, and graceful drain;
+//! * `wire` — the **one outbound exchange** the failover client and
+//!   every peer RPC share: one connection, one single-write request
+//!   line, one reply line.
 //!
 //! The `fact-cli serve` subcommand is the front end; `fact-cli solve
 //! --store <dir>` shares the same on-disk store, so one-shot CLI runs
@@ -44,6 +47,7 @@ pub mod protocol;
 pub mod scheduler;
 pub mod server;
 pub mod store;
+mod wire;
 
 use act_obs::{Counter, Gauge};
 use act_tasks::SearchConfig;

@@ -753,4 +753,96 @@ mod tests {
         let v: Value = serde_json::from_str(&line).unwrap();
         assert!(v.field("stats").unwrap().field("hits").is_ok());
     }
+
+    /// Every request line the tests above feed to [`parse_request`] —
+    /// the seed corpus of the wire-parser fuzzing below.
+    const REQUEST_LINES: &[&str] = &[
+        r#"{"op":"solve","id":7,"model":"t-res:3:1","k":1}"#,
+        r#"{"op":"solve","model":"k-of:3:2","k":2,"iters":3,"deadline_ms":250}"#,
+        "not json",
+        r#"{"op":"solve","id":9,"model":"nope:3","k":1}"#,
+        r#"{"op":"solve","id":3,"model":"t-res:3:1"}"#,
+        r#"{"op":"frobnicate","id":1}"#,
+        r#"{"id":1}"#,
+        r#"{"op":"solve","model":"t-res:3:1","k":3}"#,
+        r#"{"op":"solve","model":"t-res:3:1","k":1,"iters":0}"#,
+        r#"{"op":"solve","model":"t-res:3:1","k":1,"proof":true,"fwd":true}"#,
+        r#"{"op":"root","id":1}"#,
+        r#"{"op":"entries"}"#,
+        r#"{"op":"scrub"}"#,
+        r#"{"op":"sync"}"#,
+        r#"{"op":"fetch","hash":"0000000000000000000000000000abcd"}"#,
+        r#"{"op":"fetch","hash":"zz"}"#,
+        r#"{"op":"fetch"}"#,
+        r#"{"op":"replicate","entry":"{}"}"#,
+        r#"{"op":"replicate"}"#,
+        r#"{"op":"fpc","id":4,"spec":"fpc:32:8:berserk"}"#,
+        r#"{"op":"fpc","spec":"fpc:16:4:cautious:5:700","runs":500,"seed":9}"#,
+        r#"{"op":"fpc","spec":"fpc:1:0:cautious"}"#,
+        r#"{"op":"fpc","spec":"t-res:3:1"}"#,
+        r#"{"op":"fpc"}"#,
+        r#"{"op":"fpc","spec":"fpc:8:0:cautious","runs":0}"#,
+        r#"{"op":"stats","id":2}"#,
+        r#"{"op":"shutdown"}"#,
+    ];
+
+    #[test]
+    fn every_strict_prefix_of_a_request_line_is_an_error() {
+        for line in REQUEST_LINES {
+            for cut in 0..line.len() {
+                let prefix = &line[..cut];
+                assert!(
+                    parse_request(prefix).is_err(),
+                    "truncated line {prefix:?} parsed as a request"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn deeply_nested_lines_are_errors_not_stack_overflows() {
+        // A megabyte of openers used to recurse once per byte and abort
+        // the whole server on a stack overflow.
+        for opener in ["[", r#"{"op":"#] {
+            let line = opener.repeat(1_000_000);
+            assert!(parse_request(&line).is_err());
+        }
+        let nested_ok = format!(
+            r#"{{"op":"stats","x":{}{}}}"#,
+            "[".repeat(100),
+            "]".repeat(100)
+        );
+        assert_eq!(parse_request(&nested_ok).unwrap().body, RequestBody::Stats);
+    }
+
+    use proptest::prelude::*;
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(2_000))]
+
+        #[test]
+        fn arbitrary_bytes_never_panic_the_parser(
+            bytes in proptest::collection::vec(0u8..=255, 0..200)
+        ) {
+            let _ = parse_request(&String::from_utf8_lossy(&bytes));
+        }
+
+        #[test]
+        fn mutated_request_lines_never_panic_the_parser(
+            mutation in (0..REQUEST_LINES.len(), 0usize..80, 0u8..=255, 0u8..=1)
+        ) {
+            let (which, at, byte, insert) = mutation;
+            // One byte overwritten or inserted somewhere in a real line:
+            // reaches the field decoders and spec parsers, which random
+            // bytes almost never do.
+            let mut bytes = REQUEST_LINES[which].as_bytes().to_vec();
+            let at = at.min(bytes.len());
+            if insert == 1 || at == bytes.len() {
+                bytes.insert(at, byte);
+            } else {
+                bytes[at] = byte;
+            }
+            let _ = parse_request(&String::from_utf8_lossy(&bytes));
+        }
+    }
 }

@@ -3,9 +3,11 @@
 //! * **TCP** — the listener binds (by default `127.0.0.1:0`, letting the
 //!   OS pick a free port) and prints `fact-serve listening on ADDR` as
 //!   its first stdout line, so harnesses can scrape the assigned port.
-//!   Each connection gets a thread; requests on one connection are
-//!   answered in order, and clients open several connections for
-//!   concurrency.
+//!   The serve loop blocks in `accept` and hands each connection its own
+//!   thread; requests on one connection are answered in order, and
+//!   clients open several connections for concurrency. Accepted streams
+//!   set `TCP_NODELAY`, and each reply leaves as **one write** of the
+//!   encoded line and its `\n`, so a reply never waits on a delayed ACK.
 //! * **stdio** — one request per stdin line, one response per stdout
 //!   line; used by tests and pipelines (`fact-cli serve --stdio`). EOF
 //!   drains and exits cleanly.
@@ -24,11 +26,14 @@
 //! shutdown is a wire request**. A `{"op":"shutdown"}` stops admission,
 //! lets every queued and running job finish and answer its waiters,
 //! joins the workers, and only then acknowledges — so a client that has
-//! seen the `shutdown` response knows the queue was drained, and the
-//! serve loop exits.
+//! seen the `shutdown` response knows the queue was drained. The accept
+//! loop checks its stop flag after every accepted connection, so
+//! whatever raises the flag (the wire `shutdown`, or
+//! [`ServerHandle::stop`]) then **wakes it with one self-connect**, and
+//! the serve loop exits.
 
 use std::io::{BufRead, BufReader, ErrorKind, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -226,6 +231,7 @@ impl ServerHandle {
     /// Stops the accept loop, joins it, and drains the scheduler.
     pub fn stop(mut self) {
         self.stop.store(true, Ordering::Relaxed);
+        wake(self.addr);
         if let Some(thread) = self.thread.take() {
             let _ = thread.join();
         }
@@ -283,24 +289,17 @@ fn serve_tcp(
     listener: TcpListener,
     stop: &Arc<AtomicBool>,
 ) -> std::io::Result<()> {
-    listener.set_nonblocking(true)?;
     loop {
+        let accepted = listener.accept();
         if stop.load(Ordering::Relaxed) {
             return Ok(());
         }
-        match listener.accept() {
+        match accepted {
             Ok((stream, _peer)) => {
-                stream.set_nonblocking(false)?;
+                let _ = stream.set_nodelay(true);
                 let ctx = Arc::clone(ctx);
                 let stop = Arc::clone(stop);
                 std::thread::spawn(move || handle_connection(stream, &ctx, &stop));
-            }
-            // Nonblocking accept doubles as the stop-flag poll. The
-            // beat must stay short: every fresh client or forwarded
-            // peer connection waits for it, so it is a floor on wire
-            // latency, not just shutdown promptness.
-            Err(e) if e.kind() == ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_millis(2));
             }
             Err(e) if e.kind() == ErrorKind::Interrupted => {}
             Err(e) => return Err(e),
@@ -308,12 +307,22 @@ fn serve_tcp(
     }
 }
 
+/// Wakes an accept loop blocked on `addr` after its stop flag was
+/// raised: one connection it accepts, sees the flag, and drops. A
+/// listener bound to an unspecified address is reached over loopback.
+fn wake(mut addr: SocketAddr) {
+    if addr.ip().is_unspecified() {
+        addr.set_ip(match addr {
+            SocketAddr::V4(_) => Ipv4Addr::LOCALHOST.into(),
+            SocketAddr::V6(_) => Ipv6Addr::LOCALHOST.into(),
+        });
+    }
+    // A refused connect means the loop has already exited.
+    let _ = TcpStream::connect(addr);
+}
+
 fn handle_connection(stream: TcpStream, ctx: &Arc<ServeCtx>, stop: &AtomicBool) {
-    let Ok(read_half) = stream.try_clone() else {
-        return;
-    };
-    let mut writer = stream;
-    for line in BufReader::new(read_half).lines() {
+    for line in BufReader::new(&stream).lines() {
         let Ok(line) = line else { return };
         if line.trim().is_empty() {
             continue;
@@ -328,12 +337,16 @@ fn handle_connection(stream: TcpStream, ctx: &Arc<ServeCtx>, stop: &AtomicBool) 
             WireAction::None | WireAction::CloseAfterReply => {}
         }
         let (response, shutdown) = handle_line(ctx, &line);
-        let sent = writeln!(writer, "{}", response.encode()).and_then(|()| writer.flush());
-        if sent.is_err() {
+        let mut reply = response.encode();
+        reply.push('\n');
+        if (&stream).write_all(reply.as_bytes()).is_err() {
             return;
         }
         if shutdown {
             stop.store(true, Ordering::Relaxed);
+            if let Ok(local) = stream.local_addr() {
+                wake(local);
+            }
             return;
         }
         if action == WireAction::CloseAfterReply {
@@ -678,6 +691,91 @@ mod tests {
         let (bad, _) = handle_line(&ctx, r#"{"op":"fpc","id":3,"spec":"fpc:1:0:cautious"}"#);
         assert!(!bad.ok);
         assert_eq!(bad.code, Some(CODE_USAGE));
+    }
+
+    /// A standalone in-memory server on a fresh listener bound to `bind`.
+    fn spawn_idle(bind: &str) -> ServerHandle {
+        let listener = TcpListener::bind(bind).unwrap();
+        spawn_server(&ServeOptions::default(), listener).unwrap()
+    }
+
+    #[test]
+    fn stop_returns_promptly_on_loopback_and_unspecified_listeners() {
+        for bind in ["127.0.0.1:0", "0.0.0.0:0"] {
+            let handle = spawn_idle(bind);
+            // Let the loop settle into its blocking accept.
+            std::thread::sleep(Duration::from_millis(50));
+            let (done, stopped) = std::sync::mpsc::channel();
+            std::thread::spawn(move || {
+                handle.stop();
+                let _ = done.send(());
+            });
+            stopped
+                .recv_timeout(Duration::from_secs(1))
+                .unwrap_or_else(|_| panic!("stop() on a {bind} listener took over 1 s"));
+        }
+    }
+
+    #[test]
+    fn a_wire_shutdown_ends_the_tcp_serve_loop() {
+        let handle = spawn_idle("127.0.0.1:0");
+        let reply = crate::wire::exchange(
+            &handle.addr().to_string(),
+            r#"{"op":"shutdown","id":1}"#,
+            Duration::from_secs(1),
+            Duration::from_secs(5),
+        )
+        .unwrap();
+        let reply: Response = serde_json::from_str(&reply).unwrap();
+        assert!(reply.ok);
+        assert_eq!(reply.op, "shutdown");
+        let loop_thread = handle.thread.as_ref().unwrap();
+        let started = std::time::Instant::now();
+        while !loop_thread.is_finished() {
+            assert!(
+                started.elapsed() < Duration::from_secs(1),
+                "the serve loop outlived its wire shutdown by 1 s"
+            );
+            std::thread::sleep(Duration::from_millis(5));
+        }
+        handle.stop();
+    }
+
+    #[test]
+    fn held_open_connections_answer_without_delayed_ack_stalls() {
+        // A reply sent in two writes with Nagle on waits for the client's
+        // delayed ACK (about 40 ms on Linux) before its second segment
+        // leaves; one write per reply, with TCP_NODELAY, does not.
+        let handle = spawn_idle("127.0.0.1:0");
+        let stream = TcpStream::connect(handle.addr()).unwrap();
+        stream
+            .set_read_timeout(Some(Duration::from_secs(5)))
+            .unwrap();
+        let mut reader = BufReader::new(&stream);
+        let mut rtts = Vec::new();
+        let mut reply = String::new();
+        for id in 0..21 {
+            let started = std::time::Instant::now();
+            (&stream)
+                .write_all(format!("{{\"op\":\"stats\",\"id\":{id}}}\n").as_bytes())
+                .unwrap();
+            reply.clear();
+            assert!(reader.read_line(&mut reply).unwrap() > 0);
+            rtts.push(started.elapsed());
+            assert!(
+                reply.ends_with('\n') && reply.contains("\"stats\""),
+                "{reply}"
+            );
+        }
+        rtts.sort_unstable();
+        assert!(
+            rtts[10] < Duration::from_millis(10),
+            "held-open stats median {:?}",
+            rtts[10]
+        );
+        drop(reader);
+        drop(stream);
+        handle.stop();
     }
 
     #[test]
