@@ -1065,6 +1065,54 @@ mod tests {
         }
     }
 
+    include!("../../../tests/common/json_corpus.rs");
+
+    const STORE_CORPUS: &str = include_str!("../../../tests/fixtures/json_corpus_store.txt");
+
+    /// The entry envelopes' samples and edge inputs (see
+    /// `tests/json_corpus.rs` for the public types). Built from literals,
+    /// so a format or schema bump does not move the corpus.
+    fn render_store_corpus() -> String {
+        let mut out = String::new();
+        let mut entry = DiskEntry {
+            format: 1,
+            model: "t-res:3:1".into(),
+            task: "set-consensus:3:1".into(),
+            level: 2,
+            engine_schema: 4,
+            verdict: "solvable".into(),
+            iterations: 2,
+            witness_from: vec![0, 3],
+            witness_to: vec![1, 2],
+            checksum: 0,
+        };
+        entry.checksum = entry.payload_checksum();
+        corpus_object(&mut out, "DiskEntry/solvable", &entry);
+        entry.verdict = "no-map".into();
+        entry.witness_from.clear();
+        entry.witness_to.clear();
+        entry.checksum = entry.payload_checksum();
+        corpus_object(&mut out, "DiskEntry/no-map", &entry);
+        let mut tower = TowerDiskEntry {
+            format: 1,
+            affine_hash: format!("{:032x}", 0x1234),
+            inputs_hash: format!("{:032x}", u128::MAX),
+            level: 1,
+            portable_format: 1,
+            complex_hex: "0300000001000000ff7f".into(),
+            checksum: 0,
+        };
+        tower.checksum = tower.payload_checksum();
+        corpus_object(&mut out, "TowerDiskEntry", &tower);
+        out
+    }
+
+    #[test]
+    fn entry_envelopes_encode_and_decode_as_the_golden_corpus_records() {
+        let file = "tests/fixtures/json_corpus_store.txt";
+        assert_corpus_matches(&render_store_corpus(), STORE_CORPUS, file);
+    }
+
     #[test]
     fn content_hashes_are_canonical_and_distinct() {
         assert_eq!(key(2).content_hash(), key(2).content_hash());
