@@ -29,7 +29,7 @@
 //! re-injecting anything.
 
 use act_topology::{ColorSet, ProcessId};
-use serde::{Deserialize, Error, Serialize, Value};
+use serde::{Deserialize, Error, Reader, Serialize, Value, Writer};
 
 use crate::scheduler::{
     explored_outcome, run_adversarial_inner, RunOutcome, Schedule, System, LIVENESS_FAILURES,
@@ -73,10 +73,12 @@ pub enum FaultEvent {
 }
 
 // Hand-written (the vendored serde derive supports structs only): the
-// enum serializes as an object with a `kind` discriminator.
+// enum serializes as an object with a `kind` discriminator. Decoding
+// buffers the object as a `Value` (a cold path), since the kind, which
+// may come last, decides which fields are read.
 impl Serialize for FaultEvent {
-    fn to_value(&self) -> Value {
-        match self {
+    fn serialize(&self, w: &mut Writer) {
+        let value = match self {
             FaultEvent::Crash { step, process } => Value::Map(vec![
                 ("kind".to_string(), Value::Str("crash".to_string())),
                 ("step".to_string(), Value::UInt(*step)),
@@ -97,26 +99,28 @@ impl Serialize for FaultEvent {
                 ("step".to_string(), Value::UInt(*step)),
                 ("offset".to_string(), Value::UInt(*offset)),
             ]),
-        }
+        };
+        value.serialize(w);
     }
 }
 
 impl Deserialize for FaultEvent {
-    fn from_value(v: &Value) -> Result<Self, Error> {
-        let kind = String::from_value(v.field("kind")?)?;
+    fn deserialize(r: &mut Reader<'_>) -> Result<Self, Error> {
+        let v = Value::deserialize(r)?;
+        let kind: String = v.field("kind")?.decode()?;
         match kind.as_str() {
             "crash" => Ok(FaultEvent::Crash {
-                step: u64::from_value(v.field("step")?)?,
-                process: u32::from_value(v.field("process")?)?,
+                step: v.field("step")?.decode()?,
+                process: v.field("process")?.decode()?,
             }),
             "stall" => Ok(FaultEvent::Stall {
-                process: u32::from_value(v.field("process")?)?,
-                from_step: u64::from_value(v.field("from_step")?)?,
-                duration: u64::from_value(v.field("duration")?)?,
+                process: v.field("process")?.decode()?,
+                from_step: v.field("from_step")?.decode()?,
+                duration: v.field("duration")?.decode()?,
             }),
             "perturb" => Ok(FaultEvent::Perturb {
-                step: u64::from_value(v.field("step")?)?,
-                offset: u64::from_value(v.field("offset")?)?,
+                step: v.field("step")?.decode()?,
+                offset: v.field("offset")?.decode()?,
             }),
             other => Err(Error::msg(format!("unknown fault kind {other:?}"))),
         }

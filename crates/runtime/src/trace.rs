@@ -11,7 +11,7 @@
 use std::path::PathBuf;
 
 use act_topology::{ColorSet, ProcessId};
-use serde::{Deserialize, Serialize};
+use serde::{Deserialize, Error, Reader, Serialize};
 
 use crate::fault::FaultPlan;
 use crate::scheduler::{RunOutcome, ScheduleError, System};
@@ -50,29 +50,36 @@ pub struct Trace {
 
 // Hand-written (rather than derived) so that JSON predating the
 // `correct` / `crash_budgets` / `fault_plan` fields still deserializes:
-// missing fields become `None` instead of an error.
+// missing fields become `None` instead of an error. Otherwise it reads
+// like the derive: the first of duplicate keys wins, unknown keys are
+// skipped.
 impl Deserialize for Trace {
-    fn from_value(v: &serde::Value) -> Result<Self, serde::Error> {
-        let participants = ColorSet::from_value(v.field("participants")?)?;
-        let steps = Vec::<u32>::from_value(v.field("steps")?)?;
-        let correct = match v.field("correct") {
-            Ok(val) => Option::<ColorSet>::from_value(val)?,
-            Err(_) => None,
-        };
-        let crash_budgets = match v.field("crash_budgets") {
-            Ok(val) => Option::<Vec<Option<u32>>>::from_value(val)?,
-            Err(_) => None,
-        };
-        let fault_plan = match v.field("fault_plan") {
-            Ok(val) => Option::<FaultPlan>::from_value(val)?,
-            Err(_) => None,
-        };
+    fn deserialize(r: &mut Reader<'_>) -> Result<Self, Error> {
+        let mut participants = None;
+        let mut steps = None;
+        let (mut correct, mut crash_budgets, mut fault_plan) = (None, None, None);
+        let mut more = r.begin_map()?;
+        while more {
+            match &*r.key()? {
+                "participants" if participants.is_none() => {
+                    participants = Some(ColorSet::deserialize(r)?)
+                }
+                "steps" if steps.is_none() => steps = Some(Vec::<u32>::deserialize(r)?),
+                "correct" if correct.is_none() => correct = Some(Option::deserialize(r)?),
+                "crash_budgets" if crash_budgets.is_none() => {
+                    crash_budgets = Some(Option::deserialize(r)?)
+                }
+                "fault_plan" if fault_plan.is_none() => fault_plan = Some(Option::deserialize(r)?),
+                _ => r.skip()?,
+            }
+            more = r.next_entry()?;
+        }
         Ok(Trace {
-            participants,
-            steps,
-            correct,
-            crash_budgets,
-            fault_plan,
+            participants: participants.ok_or_else(|| Error::missing_field("participants"))?,
+            steps: steps.ok_or_else(|| Error::missing_field("steps"))?,
+            correct: correct.flatten(),
+            crash_budgets: crash_budgets.flatten(),
+            fault_plan: fault_plan.flatten(),
         })
     }
 }

@@ -33,7 +33,7 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 
-use serde::{Deserialize, Error, Serialize, Value};
+use serde::{Deserialize, Error, Reader, Serialize, Value, Writer};
 
 use crate::SERVE_CHAOS_INJECTED;
 
@@ -83,10 +83,11 @@ pub enum ServeFaultEvent {
 
 // Hand-written (the vendored serde derive supports structs only): the
 // enum serializes as an object with a `kind` discriminator, matching
-// the runtime fault plan's wire idiom.
+// the runtime fault plan's wire idiom (and, like it, decoding buffers
+// the object as a `Value`).
 impl Serialize for ServeFaultEvent {
-    fn to_value(&self) -> Value {
-        match self {
+    fn serialize(&self, w: &mut Writer) {
+        let value = match self {
             ServeFaultEvent::DropConnection { at_request } => Value::Map(vec![
                 ("kind".to_string(), Value::Str("drop".to_string())),
                 ("at_request".to_string(), Value::UInt(*at_request)),
@@ -112,30 +113,32 @@ impl Serialize for ServeFaultEvent {
                 ("kind".to_string(), Value::Str("kill-peer".to_string())),
                 ("at_request".to_string(), Value::UInt(*at_request)),
             ]),
-        }
+        };
+        value.serialize(w);
     }
 }
 
 impl Deserialize for ServeFaultEvent {
-    fn from_value(v: &Value) -> Result<Self, Error> {
-        let kind = String::from_value(v.field("kind")?)?;
+    fn deserialize(r: &mut Reader<'_>) -> Result<Self, Error> {
+        let v = Value::deserialize(r)?;
+        let kind: String = v.field("kind")?.decode()?;
         match kind.as_str() {
             "drop" => Ok(ServeFaultEvent::DropConnection {
-                at_request: u64::from_value(v.field("at_request")?)?,
+                at_request: v.field("at_request")?.decode()?,
             }),
             "delay" => Ok(ServeFaultEvent::DelayReply {
-                at_request: u64::from_value(v.field("at_request")?)?,
-                delay_ms: u64::from_value(v.field("delay_ms")?)?,
+                at_request: v.field("at_request")?.decode()?,
+                delay_ms: v.field("delay_ms")?.decode()?,
             }),
             "close" => Ok(ServeFaultEvent::CloseAfterReply {
-                at_request: u64::from_value(v.field("at_request")?)?,
+                at_request: v.field("at_request")?.decode()?,
             }),
             "torn-write" => Ok(ServeFaultEvent::TornWrite {
-                at_put: u64::from_value(v.field("at_put")?)?,
-                keep_bytes: u64::from_value(v.field("keep_bytes")?)?,
+                at_put: v.field("at_put")?.decode()?,
+                keep_bytes: v.field("keep_bytes")?.decode()?,
             }),
             "kill-peer" => Ok(ServeFaultEvent::KillPeer {
-                at_request: u64::from_value(v.field("at_request")?)?,
+                at_request: v.field("at_request")?.decode()?,
             }),
             other => Err(Error::msg(format!("unknown serve fault kind {other:?}"))),
         }

@@ -862,9 +862,11 @@ impl TowerDiskEntry {
 }
 
 fn hex_encode(bytes: &[u8]) -> String {
+    const DIGITS: &[u8; 16] = b"0123456789abcdef";
     let mut out = String::with_capacity(bytes.len() * 2);
-    for b in bytes {
-        out.push_str(&format!("{b:02x}"));
+    for &b in bytes {
+        out.push(DIGITS[usize::from(b >> 4)] as char);
+        out.push(DIGITS[usize::from(b & 0xf)] as char);
     }
     out
 }
@@ -1111,6 +1113,66 @@ mod tests {
     fn entry_envelopes_encode_and_decode_as_the_golden_corpus_records() {
         let file = "tests/fixtures/json_corpus_store.txt";
         assert_corpus_matches(&render_store_corpus(), STORE_CORPUS, file);
+    }
+
+    /// The compact text of every entry sample in the corpus.
+    fn store_corpus_lines() -> &'static [String] {
+        static LINES: std::sync::OnceLock<Vec<String>> = std::sync::OnceLock::new();
+        LINES.get_or_init(|| {
+            let mut lines = STORE_CORPUS.lines();
+            let mut compact = Vec::new();
+            while let Some(header) = lines.next() {
+                if header.ends_with(" compact") {
+                    compact.push(lines.next().expect("sample line").to_string());
+                }
+            }
+            compact
+        })
+    }
+
+    /// Decodes `bytes` as both entry envelopes; returns how many
+    /// accepted it.
+    fn decode_as_entries(bytes: &[u8]) -> usize {
+        usize::from(serde_json::from_slice::<DiskEntry>(bytes).is_ok())
+            + usize::from(serde_json::from_slice::<TowerDiskEntry>(bytes).is_ok())
+    }
+
+    #[test]
+    fn damaged_entry_lines_are_errors_not_panics_or_stack_overflows() {
+        for line in store_corpus_lines() {
+            assert_corpus_line_rejects_damage(line, decode_as_entries);
+        }
+    }
+
+    use proptest::prelude::*;
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(2_000))]
+
+        #[test]
+        fn arbitrary_bytes_never_panic_the_entry_decoders(
+            bytes in proptest::collection::vec(0u8..=255, 0..200)
+        ) {
+            decode_as_entries(&bytes);
+        }
+
+        #[test]
+        fn mutated_entry_lines_never_panic_the_entry_decoders(
+            mutation in (0usize..3, 0usize..4_000, 0u8..=255, 0u8..=1)
+        ) {
+            let (which, at, byte, insert) = mutation;
+            let line = &store_corpus_lines()[which];
+            decode_as_entries(&corpus_line_mutation(line, at, byte, insert == 1));
+        }
+    }
+
+    #[test]
+    fn hex_encode_matches_format_and_round_trips() {
+        let bytes: Vec<u8> = (0..=255).collect();
+        let formatted: String = bytes.iter().map(|b| format!("{b:02x}")).collect();
+        assert_eq!(hex_encode(&bytes), formatted);
+        assert_eq!(hex_decode(&hex_encode(&bytes)), Some(bytes));
+        assert_eq!(hex_encode(&[]), "");
     }
 
     #[test]

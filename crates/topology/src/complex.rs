@@ -349,18 +349,46 @@ impl Complex {
         debug_assert!(sims
             .iter()
             .all(|s| s.vertices().iter().all(|v| v.index() < self.num_vertices())));
-        // Keep only maximal simplices.
+        // Keep only maximal simplices, longest first (the sort is stable,
+        // so equal lengths keep their first-occurrence order). A simplex
+        // can only be a proper face of a strictly longer kept one, through
+        // its first vertex, so only those are compared; duplicates go
+        // through a set. Pure input compares nothing.
         sims.sort_by_key(|s| std::cmp::Reverse(s.len()));
-        sims.dedup();
-        let mut maximal: Vec<Simplex> = Vec::new();
-        'outer: for s in sims {
-            for m in &maximal {
-                if s.is_face_of(m) {
-                    continue 'outer;
+        let mut seen = HashSet::with_capacity(sims.len());
+        let mut keep = vec![false; sims.len()];
+        // Kept simplices strictly longer than the current candidate, by
+        // vertex; `sims[..indexed]` have been entered.
+        let mut longer: Vec<Vec<u32>> = Vec::new();
+        let mut indexed = 0;
+        for (i, s) in sims.iter().enumerate() {
+            if indexed < i && sims[indexed].len() > s.len() {
+                longer.resize(self.num_vertices(), Vec::new());
+                while indexed < i && sims[indexed].len() > s.len() {
+                    if keep[indexed] {
+                        for v in sims[indexed].vertices() {
+                            longer[v.index()].push(indexed as u32);
+                        }
+                    }
+                    indexed += 1;
                 }
             }
-            maximal.push(s);
+            if !seen.insert(s) {
+                continue;
+            }
+            keep[i] = match s.vertices().first() {
+                Some(v) => !longer
+                    .get(v.index())
+                    .is_some_and(|ids| ids.iter().any(|&j| s.is_face_of(&sims[j as usize]))),
+                // The empty simplex is a face of anything kept before it.
+                None => !keep[..i].contains(&true),
+            };
         }
+        let maximal = sims
+            .into_iter()
+            .zip(keep)
+            .filter_map(|(s, k)| k.then_some(s))
+            .collect();
         Complex::assemble(Arc::clone(&self.structure), maximal)
     }
 
@@ -688,6 +716,49 @@ mod tests {
         let sub = s.sub_complex(vec![edge.clone(), facet.clone(), edge.clone()]);
         assert_eq!(sub.facet_count(), 1);
         assert_eq!(sub.facets()[0], facet);
+    }
+
+    /// The quadratic maximality filter `sub_complex` used to run: every
+    /// candidate against every kept simplex.
+    fn maximal_reference(mut sims: Vec<Simplex>) -> Vec<Simplex> {
+        sims.sort_by_key(|s| std::cmp::Reverse(s.len()));
+        sims.dedup();
+        let mut maximal: Vec<Simplex> = Vec::new();
+        for s in sims {
+            if !maximal.iter().any(|m| s.is_face_of(m)) {
+                maximal.push(s);
+            }
+        }
+        maximal
+    }
+
+    #[test]
+    fn sub_complex_matches_the_quadratic_filter_on_mixed_dimensions() {
+        let chr = Complex::standard(3).chromatic_subdivision();
+        let mut sims: Vec<Simplex> = Vec::new();
+        // Interleave every face of every facet (all dimensions), facets
+        // repeated far apart, and the empty simplex.
+        for (i, facet) in chr.facets().iter().enumerate() {
+            for face in facet.non_empty_faces() {
+                if face.len() < facet.len() && (face.len() + i) % 3 != 0 {
+                    sims.push(face);
+                }
+            }
+            if i % 2 == 0 {
+                sims.push(facet.clone());
+            }
+        }
+        sims.push(Simplex::empty());
+        let facets: Vec<Simplex> = chr.facets().iter().step_by(4).cloned().collect();
+        sims.extend(facets.iter().cloned());
+        sims.extend(facets);
+        sims.push(Simplex::empty());
+        let sub = chr.sub_complex(sims.clone());
+        assert_eq!(sub.facets(), maximal_reference(sims).as_slice());
+        // Only faces of dropped facets survive as lower-dimensional facets.
+        assert!(!sub.is_pure());
+        let empty_only = chr.sub_complex(vec![Simplex::empty(), Simplex::empty()]);
+        assert_eq!(empty_only.facets(), [Simplex::empty()]);
     }
 
     #[test]

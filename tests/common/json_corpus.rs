@@ -1,6 +1,7 @@
-// Golden JSON corpus helpers, shared by `tests/json_corpus.rs` and the
-// service store's unit tests (which reach its private entry types).
-// Included with `include!`, so this file holds items only.
+// Golden JSON corpus helpers and decoder fuzzing inputs, shared by
+// `tests/json_corpus.rs` and the service store's unit tests (which reach
+// its private entry types). Included with `include!`, so this file
+// holds items only.
 //
 // A corpus is plain text built from blocks: `== <name>` headers, each
 // followed by a sample's compact and pretty encodings, or by one decode
@@ -11,11 +12,17 @@
 fn corpus_sample<T: serde::Serialize>(out: &mut String, name: &str, value: &T) {
     let compact = serde_json::to_string(value).expect("compact encoding");
     let pretty = serde_json::to_string_pretty(value).expect("pretty encoding");
-    out.push_str(&format!("== {name} compact\n{compact}\n== {name} pretty\n{pretty}\n"));
+    out.push_str(&format!(
+        "== {name} compact\n{compact}\n== {name} pretty\n{pretty}\n"
+    ));
 }
 
 /// Appends one decode case: the input and what it decoded to as `T`.
-fn corpus_decode<T: serde::Serialize + serde::Deserialize>(out: &mut String, name: &str, input: &str) {
+fn corpus_decode<T: serde::Serialize + serde::Deserialize>(
+    out: &mut String,
+    name: &str,
+    input: &str,
+) {
     let outcome = match serde_json::from_str::<T>(input) {
         Ok(v) => format!("ok {}", serde_json::to_string(&v).expect("re-encoding")),
         Err(_) => "err".to_string(),
@@ -122,7 +129,11 @@ fn corpus_object_edges(compact: &str) -> Vec<(String, String)> {
 
 /// Appends a sample's encodings plus every edge input derived from it,
 /// decoded as `T`.
-fn corpus_object<T: serde::Serialize + serde::Deserialize>(out: &mut String, name: &str, value: &T) {
+fn corpus_object<T: serde::Serialize + serde::Deserialize>(
+    out: &mut String,
+    name: &str,
+    value: &T,
+) {
     corpus_sample(out, name, value);
     let compact = serde_json::to_string(value).unwrap();
     for (case, input) in corpus_object_edges(&compact) {
@@ -145,4 +156,38 @@ fn assert_corpus_matches(rendered: &str, committed: &str, file: &str) {
         committed.lines().count(),
         "{file}: line count differs from the golden corpus"
     );
+}
+
+/// Asserts that no type `decode` tries accepts a strict prefix of the
+/// corpus line `line`, or `line` with a 100 000-deep run of `[` (or of
+/// `{"a":`) in an unknown field. `decode` returns how many types
+/// accepted its input; a stack overflow would abort the test.
+fn assert_corpus_line_rejects_damage(line: &str, decode: impl Fn(&[u8]) -> usize) {
+    for cut in 0..line.len() {
+        let prefix = &line.as_bytes()[..cut];
+        assert_eq!(
+            decode(prefix),
+            0,
+            "truncated line {:?} decoded",
+            String::from_utf8_lossy(prefix)
+        );
+    }
+    let body = &line[..line.len() - 1];
+    for opener in ["[", r#"{"a":"#] {
+        let hostile = format!(r#"{body},"zz_unknown":{}}}"#, opener.repeat(100_000));
+        assert_eq!(decode(hostile.as_bytes()), 0, "deep nesting decoded");
+    }
+}
+
+/// `line` with one byte overwritten, or inserted when `insert` is set or
+/// `at` (taken modulo the length plus one) is the end.
+fn corpus_line_mutation(line: &str, at: usize, byte: u8, insert: bool) -> Vec<u8> {
+    let mut bytes = line.as_bytes().to_vec();
+    let at = at % (bytes.len() + 1);
+    if insert || at == bytes.len() {
+        bytes.insert(at, byte);
+    } else {
+        bytes[at] = byte;
+    }
+    bytes
 }

@@ -383,3 +383,78 @@ fn render_corpus() -> String {
 fn every_type_encodes_and_decodes_as_the_golden_corpus_records() {
     assert_corpus_matches(&render_corpus(), CORPUS, "tests/fixtures/json_corpus.txt");
 }
+
+/// The compact encoding of every object sample in the corpus.
+fn corpus_lines() -> Vec<String> {
+    fn line<T: Serialize>(lines: &mut Vec<String>, value: &T) {
+        lines.push(serde_json::to_string(value).unwrap());
+    }
+    let mut lines = Vec::new();
+    for (_, response) in responses() {
+        line(&mut lines, &response);
+    }
+    line(&mut lines, &checkpoint());
+    for (_, trace) in traces() {
+        line(&mut lines, &trace);
+    }
+    line(&mut lines, &serve_fault_plan());
+    line(&mut lines, &fpc_stats());
+    line(&mut lines, &run_report());
+    lines
+}
+
+/// Decodes `bytes` as every corpus type and as a `Value`; returns how
+/// many accepted it. Any panic fails the calling test.
+fn decode_as_every_type(bytes: &[u8]) -> usize {
+    fn ok<T: Deserialize>(bytes: &[u8]) -> usize {
+        usize::from(serde_json::from_slice::<T>(bytes).is_ok())
+    }
+    ok::<Response>(bytes)
+        + ok::<StatsBody>(bytes)
+        + ok::<ScrubReport>(bytes)
+        + ok::<Checkpoint>(bytes)
+        + ok::<Coverage>(bytes)
+        + ok::<Trace>(bytes)
+        + ok::<TraceArtifact>(bytes)
+        + ok::<FaultPlan>(bytes)
+        + ok::<ServeFaultPlan>(bytes)
+        + ok::<FpcStats>(bytes)
+        + ok::<RunReport>(bytes)
+        + ok::<UnitProbe>(bytes)
+        + ok::<PairProbe>(bytes)
+        + ok::<NewtypeProbe>(bytes)
+        + ok::<Value>(bytes)
+}
+
+#[test]
+fn damaged_corpus_lines_are_errors_not_panics_or_stack_overflows() {
+    for line in corpus_lines() {
+        assert_corpus_line_rejects_damage(&line, decode_as_every_type);
+    }
+}
+
+use proptest::prelude::*;
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(2_000))]
+
+    #[test]
+    fn arbitrary_bytes_never_panic_a_decoder(
+        bytes in proptest::collection::vec(0u8..=255, 0..200)
+    ) {
+        decode_as_every_type(&bytes);
+    }
+
+    #[test]
+    fn mutated_corpus_lines_never_panic_a_decoder(
+        mutation in (0usize..64, 0usize..4_000, 0u8..=255, 0u8..=1)
+    ) {
+        // One byte overwritten or inserted somewhere in a real line:
+        // reaches the field and element decoders, which random bytes
+        // almost never do.
+        let (which, at, byte, insert) = mutation;
+        let lines = corpus_lines();
+        let bytes = corpus_line_mutation(&lines[which % lines.len()], at, byte, insert == 1);
+        decode_as_every_type(&bytes);
+    }
+}
