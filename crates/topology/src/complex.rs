@@ -359,19 +359,17 @@ impl Complex {
         let mut keep = vec![false; sims.len()];
         // Kept simplices strictly longer than the current candidate, by
         // vertex; `sims[..indexed]` have been entered.
-        let mut longer: Vec<Vec<u32>> = Vec::new();
+        let mut longer: Vec<Vec<usize>> = Vec::new();
         let mut indexed = 0;
         for (i, s) in sims.iter().enumerate() {
-            if indexed < i && sims[indexed].len() > s.len() {
-                longer.resize(self.num_vertices(), Vec::new());
-                while indexed < i && sims[indexed].len() > s.len() {
-                    if keep[indexed] {
-                        for v in sims[indexed].vertices() {
-                            longer[v.index()].push(indexed as u32);
-                        }
+            while indexed < i && sims[indexed].len() > s.len() {
+                if keep[indexed] {
+                    longer.resize(self.num_vertices(), Vec::new());
+                    for v in sims[indexed].vertices() {
+                        longer[v.index()].push(indexed);
                     }
-                    indexed += 1;
                 }
+                indexed += 1;
             }
             if !seen.insert(s) {
                 continue;
@@ -379,7 +377,7 @@ impl Complex {
             keep[i] = match s.vertices().first() {
                 Some(v) => !longer
                     .get(v.index())
-                    .is_some_and(|ids| ids.iter().any(|&j| s.is_face_of(&sims[j as usize]))),
+                    .is_some_and(|ids| ids.iter().any(|&j| s.is_face_of(&sims[j]))),
                 // The empty simplex is a face of anything kept before it.
                 None => !keep[..i].contains(&true),
             };
