@@ -7,14 +7,22 @@
 //! bytes, nesting at and past the limit) must decode to the same value
 //! or fail the same way. The store's private entry types keep their own
 //! corpus next to them (`crates/service/src/store.rs`).
+//!
+//! `tests/fixtures/store_layout.txt` records one more input in the same
+//! block format: the path (relative to the store root) and exact bytes of
+//! every file a store root holds after one entry of each kind is written
+//! through the public API.
 
 use std::collections::{BTreeMap, BTreeSet};
 
 use act_campaign::{Checkpoint, Coverage};
 use act_fpc::FpcStats;
 use act_runtime::{FaultEvent, FaultPlan, Trace, TraceArtifact};
-use act_service::{Response, ScrubReport, ServeFaultEvent, ServeFaultPlan, StatsBody};
-use act_topology::ColorSet;
+use act_service::{
+    FpcCache, Response, ScrubReport, ServeFaultEvent, ServeFaultPlan, StatsBody, StoreKey,
+    StoredVerdict, TowerKey, TowerStore, VerdictStore,
+};
+use act_topology::{ColorSet, Complex};
 use fact::RunReport;
 use serde::{Deserialize, Serialize, Value};
 
@@ -424,6 +432,134 @@ fn decode_as_every_type(bytes: &[u8]) -> usize {
         + ok::<PairProbe>(bytes)
         + ok::<NewtypeProbe>(bytes)
         + ok::<Value>(bytes)
+}
+
+const STORE_LAYOUT: &str = include_str!("fixtures/store_layout.txt");
+
+fn temp_root(tag: &str) -> std::path::PathBuf {
+    let dir =
+        std::env::temp_dir().join(format!("fact-store-layout-{tag}-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    dir
+}
+
+/// The verdict entries of the layout sample. Keys are literals, so an
+/// engine-schema bump does not move the fixture.
+fn layout_verdicts() -> Vec<(StoreKey, StoredVerdict)> {
+    let key = |level| StoreKey {
+        model: "t-res:3:1".to_string(),
+        task: "set-consensus:3:1".to_string(),
+        level,
+        engine_schema: 4,
+    };
+    let solvable = StoredVerdict {
+        verdict: "solvable".to_string(),
+        iterations: 2,
+        witness: vec![(0, 1), (3, 2)],
+    };
+    let no_map = StoredVerdict {
+        verdict: "no-map".to_string(),
+        iterations: 3,
+        witness: Vec::new(),
+    };
+    vec![(key(2), solvable), (key(3), no_map)]
+}
+
+fn layout_tower() -> (TowerKey, Complex) {
+    let key = TowerKey {
+        affine_hash: 0x1234,
+        inputs_hash: u128::MAX,
+        level: 1,
+    };
+    (key, Complex::standard(2))
+}
+
+fn layout_fpc() -> (act_fpc::FpcSpec, FpcStats) {
+    let spec = act_fpc::FpcSpec::parse("fpc:32:8:berserk").unwrap();
+    let stats = FpcStats {
+        spec: spec.canonical_string(),
+        ..fpc_stats()
+    };
+    (spec, stats)
+}
+
+/// Every file under `root` as `== <relative path>` plus its bytes, in
+/// path order.
+fn render_store_files(root: &std::path::Path) -> String {
+    fn walk(dir: &std::path::Path, files: &mut Vec<std::path::PathBuf>) {
+        for entry in std::fs::read_dir(dir).unwrap() {
+            let path = entry.unwrap().path();
+            if path.is_dir() {
+                walk(&path, files);
+            } else {
+                files.push(path);
+            }
+        }
+    }
+    let mut files = Vec::new();
+    walk(root, &mut files);
+    let mut named: Vec<(String, String)> = files
+        .iter()
+        .map(|path| {
+            let name = path.strip_prefix(root).unwrap().to_string_lossy().into_owned();
+            (name, std::fs::read_to_string(path).unwrap())
+        })
+        .collect();
+    named.sort();
+    let mut out = String::new();
+    for (name, bytes) in named {
+        out.push_str(&format!("== {name}\n{bytes}\n"));
+    }
+    out
+}
+
+#[test]
+fn a_store_root_holds_the_recorded_files_byte_for_byte() {
+    let root = temp_root("write");
+    let verdicts = VerdictStore::open(&root).unwrap();
+    for (key, verdict) in layout_verdicts() {
+        assert!(verdicts.put(&key, &verdict));
+    }
+    let (tower_key, complex) = layout_tower();
+    TowerStore::open(&root).unwrap().store(&tower_key, &complex);
+    let (spec, stats) = layout_fpc();
+    FpcCache::open(&root)
+        .unwrap()
+        .put(&spec, stats.runs, stats.seed, &stats);
+    let rendered = render_store_files(&root);
+    let file = "tests/fixtures/store_layout.txt";
+    assert_corpus_matches(&rendered, STORE_LAYOUT, file);
+    assert!(rendered == STORE_LAYOUT, "{file} differs in its line endings");
+    let _ = std::fs::remove_dir_all(&root);
+}
+
+#[test]
+fn a_recorded_store_root_loads_every_entry() {
+    let root = temp_root("load");
+    for block in STORE_LAYOUT.split("== ").skip(1) {
+        let (name, bytes) = block.split_once('\n').unwrap();
+        let path = root.join(name);
+        std::fs::create_dir_all(path.parent().unwrap()).unwrap();
+        std::fs::write(&path, &bytes[..bytes.len() - 1]).unwrap();
+    }
+    let verdicts = VerdictStore::open(&root).unwrap();
+    assert_eq!(verdicts.merkle_len(), 2);
+    for (key, verdict) in layout_verdicts() {
+        assert_eq!(verdicts.get(&key), Some(verdict));
+    }
+    let (tower_key, complex) = layout_tower();
+    assert_eq!(
+        TowerStore::open(&root).unwrap().load(&tower_key),
+        Some(complex)
+    );
+    let (spec, stats) = layout_fpc();
+    assert_eq!(
+        FpcCache::open(&root)
+            .unwrap()
+            .get(&spec, stats.runs, stats.seed),
+        Some(stats)
+    );
+    let _ = std::fs::remove_dir_all(&root);
 }
 
 #[test]
