@@ -1,23 +1,16 @@
-//! Content-addressed caching for FPC finalization summaries (the
-//! `fpc:` query namespace).
-//!
-//! A summary is addressed by `(spec, runs, seed)` through the same
-//! canonical-text-to-content-hash discipline the verdict store uses:
-//! every spelling of one workload resolves to one key, so a summary
-//! computed once — by `fact-cli fpc` or by a serve worker — is a store
-//! hit for every later query. Summaries are tiny (one [`FpcStats`]
-//! JSON object), deterministic (the whole batch is a pure function of
-//! the key), and **validated on read**: a disk entry must reproduce its
-//! own content address from its recorded `(spec, runs, seed)` fields,
-//! so a truncated or tampered file degrades to a counted miss instead
-//! of serving a wrong summary.
+//! The FPC summary kind of the content store (see [`crate::store`]): the
+//! finalization statistics of one `(spec, runs, seed)` batch (the `fpc:`
+//! query namespace), addressed by [`summary_key`] so every spelling of
+//! one workload shares one entry. The entry is the [`FpcStats`] object
+//! itself; it is valid only if its recorded `(spec, runs, seed)` fields
+//! re-derive the address it was read under.
 
-use std::collections::BTreeMap;
-use std::path::{Path, PathBuf};
-use std::sync::Mutex;
+use std::path::Path;
 
 use act_fpc::{run_stats, FpcSpec, FpcStats};
+use act_obs::Counter;
 
+use crate::store::{ContentStore, Entry};
 use crate::{SERVE_FPC_CORRUPT, SERVE_FPC_HITS, SERVE_FPC_MISSES};
 
 /// Schema version of the persisted summary JSON.
@@ -44,92 +37,60 @@ pub fn summary_key(spec: &FpcSpec, runs: u64, seed: u64) -> u128 {
     )
 }
 
-/// A two-tier (memory + optional disk) cache of FPC summaries.
-pub struct FpcCache {
-    memory: Mutex<BTreeMap<u128, FpcStats>>,
-    disk: Option<PathBuf>,
+impl Entry for FpcStats {
+    type Key = u128;
+    type Value = FpcStats;
+    const SUBDIR: &'static str = "fpc";
+    const PREFIX: &'static str = "fpc-";
+    const PRETTY: bool = true;
+    const MEMORY_CAPACITY: usize = 1024;
+    const CORRUPT: &'static Counter = &SERVE_FPC_CORRUPT;
+    const CORRUPT_EVENT: &'static str = "serve.fpc.corrupt";
+    const WRITE_FAILED_EVENT: &'static str = "serve.fpc.write_failed";
+    const TEARABLE: bool = false;
+
+    fn address(key: &u128) -> u128 {
+        *key
+    }
+
+    fn encode(_: &u128, stats: &FpcStats) -> FpcStats {
+        stats.clone()
+    }
+
+    fn key(&self) -> Option<u128> {
+        let spec = FpcSpec::parse(&self.spec).ok()?;
+        Some(summary_key(&spec, self.runs, self.seed))
+    }
+
+    fn into_value(self) -> Result<FpcStats, &'static str> {
+        Ok(self)
+    }
 }
+
+/// A two-tier (memory + optional disk) cache of FPC summaries.
+pub struct FpcCache(ContentStore<FpcStats>);
 
 impl FpcCache {
     /// A memory-only cache.
     pub fn in_memory() -> FpcCache {
-        FpcCache {
-            memory: Mutex::new(BTreeMap::new()),
-            disk: None,
-        }
+        FpcCache(ContentStore::in_memory())
     }
 
     /// A cache persisting under `<store>/fpc/` — the same store root the
     /// verdict store uses, so one `--store` directory carries both
     /// namespaces.
     pub fn open(store_root: &Path) -> std::io::Result<FpcCache> {
-        let dir = store_root.join("fpc");
-        std::fs::create_dir_all(&dir)?;
-        Ok(FpcCache {
-            memory: Mutex::new(BTreeMap::new()),
-            disk: Some(dir),
-        })
-    }
-
-    fn entry_path(&self, key: u128) -> Option<PathBuf> {
-        self.disk
-            .as_ref()
-            .map(|d| d.join(format!("fpc-{key:032x}.json")))
+        ContentStore::open(store_root).map(FpcCache)
     }
 
     /// Looks a summary up (memory first, then validated disk read).
     pub fn get(&self, spec: &FpcSpec, runs: u64, seed: u64) -> Option<FpcStats> {
-        let key = summary_key(spec, runs, seed);
-        if let Some(stats) = self
-            .memory
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .get(&key)
-        {
-            return Some(stats.clone());
-        }
-        let path = self.entry_path(key)?;
-        let json = std::fs::read_to_string(&path).ok()?;
-        let stats: FpcStats = match serde_json::from_str(&json) {
-            Ok(s) => s,
-            Err(_) => {
-                SERVE_FPC_CORRUPT.add(1);
-                return None;
-            }
-        };
-        // Validate on read: the entry must reproduce its own address
-        // from its recorded fields, or it is not the summary we asked
-        // for (tampering, truncation-survivable JSON, or a moved file).
-        let recorded_spec = FpcSpec::parse(&stats.spec).ok();
-        let valid = recorded_spec
-            .map(|s| summary_key(&s, stats.runs, stats.seed) == key)
-            .unwrap_or(false);
-        if !valid {
-            SERVE_FPC_CORRUPT.add(1);
-            return None;
-        }
-        self.memory
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .insert(key, stats.clone());
-        Some(stats)
+        self.0.get(&summary_key(spec, runs, seed))
     }
 
     /// Commits a summary (memory insert + atomic disk publish).
     pub fn put(&self, spec: &FpcSpec, runs: u64, seed: u64, stats: &FpcStats) {
-        let key = summary_key(spec, runs, seed);
-        self.memory
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .insert(key, stats.clone());
-        if let Some(path) = self.entry_path(key) {
-            if let Ok(json) = serde_json::to_string_pretty(stats) {
-                let tmp = path.with_extension("json.tmp");
-                if std::fs::write(&tmp, json).is_ok() {
-                    let _ = std::fs::rename(&tmp, &path);
-                }
-            }
-        }
+        self.0.put(&summary_key(spec, runs, seed), stats);
     }
 
     /// Answers one query: a cache hit, or a freshly simulated batch
@@ -149,6 +110,8 @@ impl FpcCache {
 
 #[cfg(test)]
 mod tests {
+    use std::path::PathBuf;
+
     use super::*;
 
     fn temp_store(name: &str) -> PathBuf {
@@ -213,6 +176,88 @@ mod tests {
         std::fs::write(&path, "{\"spec\":").unwrap();
         let truncated = FpcCache::open(&root).unwrap();
         assert!(truncated.get(&spec, 100, 1).is_none());
+        let _ = std::fs::remove_dir_all(&root);
+    }
+
+    /// A summary for `seed` with fabricated statistics (no simulation).
+    fn fabricated(spec: &FpcSpec, runs: u64, seed: u64) -> FpcStats {
+        FpcStats {
+            spec: spec.canonical_string(),
+            runs,
+            seed,
+            agreement_failures: 0,
+            termination_failures: seed % 3,
+            rounds_p50: 4,
+            rounds_p99: 9,
+            rounds_max: 11,
+            mean_rounds_milli: 4_250,
+            fingerprint: format!("{seed:016x}"),
+        }
+    }
+
+    #[test]
+    fn concurrent_writers_of_one_summary_never_publish_a_torn_file() {
+        let _serial = crate::test_serial_guard();
+        let root = temp_store("race");
+        let spec = FpcSpec::parse("fpc:16:4:berserk").unwrap();
+        let stats = fabricated(&spec, 300, 5);
+        let corrupt_before = SERVE_FPC_CORRUPT.get();
+        std::thread::scope(|scope| {
+            for _ in 0..8 {
+                scope.spawn(|| {
+                    let writer = FpcCache::open(&root).unwrap();
+                    for _ in 0..25 {
+                        writer.put(&spec, 300, 5, &stats);
+                        // A fresh cache has no memory tier to hide behind.
+                        let reader = FpcCache::open(&root).unwrap();
+                        if let Some(read) = reader.get(&spec, 300, 5) {
+                            assert_eq!(read, stats);
+                        }
+                    }
+                });
+            }
+        });
+        assert_eq!(SERVE_FPC_CORRUPT.get(), corrupt_before);
+        let fresh = FpcCache::open(&root).unwrap();
+        assert_eq!(fresh.get(&spec, 300, 5), Some(stats));
+        let _ = std::fs::remove_dir_all(&root);
+    }
+
+    #[test]
+    fn the_memory_tier_is_bounded_and_evicted_summaries_serve_from_disk() {
+        let _serial = crate::test_serial_guard();
+        let root = temp_store("lru");
+        let spec = FpcSpec::parse("fpc:16:4:berserk").unwrap();
+        let cache = FpcCache::open(&root).unwrap();
+        let capacity = <FpcStats as Entry>::MEMORY_CAPACITY as u64;
+        for seed in 0..=capacity {
+            cache.put(&spec, 10, seed, &fabricated(&spec, 10, seed));
+        }
+        assert_eq!(cache.0.memory_len() as u64, capacity);
+        // Seed 0 was the least recently used: evicted from memory, it is
+        // still served from disk.
+        assert!(cache.0.peek(summary_key(&spec, 10, 0)).is_none());
+        let corrupt_before = SERVE_FPC_CORRUPT.get();
+        assert_eq!(cache.get(&spec, 10, 0), Some(fabricated(&spec, 10, 0)));
+        assert_eq!(SERVE_FPC_CORRUPT.get(), corrupt_before);
+        let _ = std::fs::remove_dir_all(&root);
+    }
+
+    #[test]
+    fn unreadable_entries_count_as_corrupt() {
+        let _serial = crate::test_serial_guard();
+        let root = temp_store("unreadable");
+        let spec = FpcSpec::parse("fpc:16:4:berserk").unwrap();
+        // A directory where the entry file should be: reading it fails
+        // with an error other than "not found".
+        let path = root
+            .join("fpc")
+            .join(format!("fpc-{:032x}.json", summary_key(&spec, 10, 1)));
+        std::fs::create_dir_all(&path).unwrap();
+        let corrupt_before = SERVE_FPC_CORRUPT.get();
+        let cache = FpcCache::open(&root).unwrap();
+        assert!(cache.get(&spec, 10, 1).is_none());
+        assert_eq!(SERVE_FPC_CORRUPT.get(), corrupt_before + 1);
         let _ = std::fs::remove_dir_all(&root);
     }
 }

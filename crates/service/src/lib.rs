@@ -9,12 +9,13 @@
 //! `(model, task, level, engine schema version)`. This crate turns that
 //! cost structure into a serving stack:
 //!
-//! * [`store`] — a **content-addressed store**: verdicts and witnesses
-//!   keyed by a canonical hash of the query, two-tier (LRU in memory
-//!   over atomically-written, checksummed JSON files on disk), with
+//! * [`store`] — one **content-addressed store** with three entry kinds:
+//!   verdicts and witnesses keyed by a canonical hash of the query,
+//!   `R_A^ℓ` towers, and FPC summaries. Each kind is two-tier (LRU in
+//!   memory over atomically-written, validated JSON files on disk), with
 //!   corruption-tolerant loading — a truncated or bad-checksum entry is
-//!   a *miss* counted by [`SERVE_STORE_CORRUPT`], never a panic or a
-//!   wrong verdict;
+//!   a *miss* counted per kind (e.g. [`SERVE_STORE_CORRUPT`]), never a
+//!   panic or a wrong answer;
 //! * [`scheduler`] — a **batching + single-flight scheduler**: identical
 //!   in-flight queries coalesce to one engine run, a worker pool shares
 //!   warmed [`DomainCache`](fact::DomainCache) towers (and the affine

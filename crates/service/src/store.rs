@@ -1,32 +1,44 @@
-//! The content-addressed verdict store.
+//! The content-addressed store: one chassis, three entry kinds.
 //!
-//! Verdicts (and their witnessing maps) are keyed by a canonical hash of
-//! `(model spec, task spec, level, engine schema version)` — all taken
-//! from the canonical spellings of [`fact::ModelSpec`] /
-//! [`fact::TaskSpec`], so two spellings of the same query share one
-//! entry. The store is two-tier:
+//! Each entry is one file, named by the canonical 128-bit hash of what it
+//! answers, under one `--store` root:
 //!
-//! * an **in-memory LRU** over decoded entries (bounded; hit promotion);
-//! * an **on-disk tier**: one JSON file per entry, named by the content
-//!   hash, written atomically (temp file + rename) so concurrent readers
-//!   never observe a partial write, and carrying a format version and an
-//!   FNV-1a checksum of the payload.
+//! * **verdicts** ([`VerdictStore`]): whether a task is solvable in
+//!   `R_A^ℓ`, with the witnessing map, keyed by the canonical spellings of
+//!   the model and task ([`fact::ModelSpec`], [`fact::TaskSpec`]), the
+//!   level and the engine schema; `<root>/<hash>.json`, pretty-printed;
+//! * **towers** ([`TowerStore`]): the `R_A^ℓ(I)` levels verdicts are
+//!   decided on; `<root>/towers/<hash>.json`, compact;
+//! * **FPC summaries** ([`crate::FpcCache`]): the statistics of one
+//!   `(spec, runs, seed)` batch; `<root>/fpc/fpc-<hash>.json`,
+//!   pretty-printed.
 //!
-//! Loading is corruption-tolerant by construction: an unreadable,
-//! truncated, unparsable, or checksum-mismatched file is a **miss**
-//! (counted by [`SERVE_STORE_CORRUPT`](crate::SERVE_STORE_CORRUPT)),
-//! never a panic and never a wrong verdict; a format- or schema-version
-//! bump is a *clean* miss (old entries are simply invisible under the
-//! new key). Only authoritative verdicts — `solvable` with its witness,
-//! or `no-map` — are ever persisted: `exhausted` and `timed-out` are
-//! resource outcomes, not facts about the model, and
-//! [`StoredVerdict::from_solvability`] refuses them.
+//! One generic `ContentStore<E: Entry>` owns what does not depend on the
+//! entry format: the path layout, the atomic write (a pid + sequence temp
+//! file, then a rename, so readers never see a partial entry), the
+//! read → parse → format → checksum → key → payload validation, the
+//! in-memory LRU tier, and each kind's corrupt counter and event. An
+//! `Entry` impl supplies only its kind's format.
+//!
+//! A damaged file (unreadable, truncated, unparsable, bad checksum,
+//! mis-addressed) is a **miss** counted by its kind's counter
+//! ([`SERVE_STORE_CORRUPT`],
+//! [`SERVE_TOWER_CORRUPT`], [`SERVE_FPC_CORRUPT`](crate::SERVE_FPC_CORRUPT)),
+//! never a panic or a wrong answer; a format or schema bump is a *clean*
+//! miss. Only authoritative verdicts (`solvable` with its witness, or
+//! `no-map`) are stored or served: `exhausted` and `timed-out` are
+//! resource outcomes, not facts about the model.
+//!
+//! The verdict kind adds a Merkle index on top: inclusion proofs, the
+//! scrub pass, and the raw-entry exchange of replication and
+//! anti-entropy.
 
 use std::collections::HashMap;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
+use std::sync::{Mutex, MutexGuard};
 
+use act_obs::Counter;
 use act_tasks::ENGINE_SCHEMA_VERSION;
 use act_topology::{Complex, VertexId, VertexMap};
 use fact::{ModelSpec, Solvability, TaskSpec};
@@ -35,8 +47,317 @@ use serde::{Deserialize, Serialize};
 use crate::merkle::{parse_hash_hex, InclusionProof, MerkleIndex, ScrubReport};
 use crate::{
     SERVE_SCRUB_CORRUPT, SERVE_SCRUB_QUARANTINED, SERVE_SCRUB_REPAIRED, SERVE_SCRUB_RUNS,
-    SERVE_STORE_CORRUPT,
+    SERVE_STORE_CORRUPT, SERVE_TOWER_CORRUPT,
 };
+
+/// One entry kind's on-disk format. Implemented by the kind's envelope
+/// type, which is serialized as the entry file.
+pub(crate) trait Entry: Serialize + Deserialize {
+    /// What a lookup names.
+    type Key: Clone;
+    /// What a lookup returns.
+    type Value: Clone;
+    /// Sub-directory of the store root holding this kind (empty: the
+    /// root itself).
+    const SUBDIR: &'static str;
+    /// File-name prefix before the hex content address.
+    const PREFIX: &'static str;
+    /// Whether entry files are pretty-printed.
+    const PRETTY: bool;
+    /// Capacity of the in-memory tier (0: no memory tier).
+    const MEMORY_CAPACITY: usize;
+    /// Counts entries that fail validation on read.
+    const CORRUPT: &'static Counter;
+    /// Emitted (`path`, `kind`) per entry that fails validation on read.
+    const CORRUPT_EVENT: &'static str;
+    /// Emitted (`error`) per failed write.
+    const WRITE_FAILED_EVENT: &'static str;
+    /// Whether an installed [`crate::chaos::ServeFaultPlan`] tears this
+    /// kind's writes (its `TornWrite { at_put }` counts only these).
+    const TEARABLE: bool;
+
+    /// The content address of `key`.
+    fn address(key: &Self::Key) -> u128;
+    /// The envelope of `value` stored under `key`.
+    fn encode(key: &Self::Key, value: &Self::Value) -> Self;
+    /// Whether the envelope is in the current format. Any other format is
+    /// a clean miss, not corruption.
+    fn current_format(&self) -> bool {
+        true
+    }
+    /// Whether the recorded checksum matches the payload.
+    fn checksum_ok(&self) -> bool {
+        true
+    }
+    /// The key the envelope records, when it is well-formed.
+    fn key(&self) -> Option<Self::Key>;
+    /// The payload, or the corrupt kind naming why it is unusable.
+    fn into_value(self) -> Result<Self::Value, &'static str>;
+}
+
+/// The validation failure kind that is a clean miss (an old or newer
+/// format version), not corruption.
+const CLEAN_MISS: &str = "format";
+
+/// Names every in-flight temp file uniquely together with the pid, across
+/// store instances in one process and processes sharing one directory.
+static TMP_SEQ: AtomicU64 = AtomicU64::new(0);
+
+/// The two-tier store of one entry kind: an optional in-memory LRU over an
+/// optional directory of entry files. All methods are `&self` and
+/// thread-safe; several processes may share one directory.
+pub(crate) struct ContentStore<E: Entry> {
+    dir: Option<PathBuf>,
+    memory: Mutex<Lru<E>>,
+}
+
+impl<E: Entry> ContentStore<E> {
+    /// A store with no disk tier.
+    pub(crate) fn in_memory() -> ContentStore<E> {
+        ContentStore {
+            dir: None,
+            memory: Mutex::new(Lru {
+                map: HashMap::new(),
+                clock: 0,
+            }),
+        }
+    }
+
+    /// Opens (creating if needed) this kind's directory under `root`.
+    pub(crate) fn open(root: &Path) -> std::io::Result<ContentStore<E>> {
+        let dir = if E::SUBDIR.is_empty() {
+            root.to_path_buf()
+        } else {
+            root.join(E::SUBDIR)
+        };
+        std::fs::create_dir_all(&dir)?;
+        Ok(ContentStore {
+            dir: Some(dir),
+            ..ContentStore::in_memory()
+        })
+    }
+
+    /// This kind's directory, when a disk tier is configured.
+    pub(crate) fn dir(&self) -> Option<&Path> {
+        self.dir.as_deref()
+    }
+
+    /// The file of the entry addressed by `hash`, when a disk tier is
+    /// configured.
+    pub(crate) fn path(&self, hash: u128) -> Option<PathBuf> {
+        let dir = self.dir.as_ref()?;
+        Some(dir.join(format!("{}{hash:032x}.json", E::PREFIX)))
+    }
+
+    fn memory(&self) -> MutexGuard<'_, Lru<E>> {
+        self.memory.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
+    /// Number of entries resident in the memory tier.
+    pub(crate) fn memory_len(&self) -> usize {
+        self.memory().map.len()
+    }
+
+    /// The resident `(key, value)` of `hash`, *without* LRU promotion.
+    pub(crate) fn peek(&self, hash: u128) -> Option<(E::Key, E::Value)> {
+        self.memory()
+            .map
+            .get(&hash)
+            .map(|(k, v, _)| (k.clone(), v.clone()))
+    }
+
+    fn remember(&self, hash: u128, key: &E::Key, value: &E::Value) {
+        if E::MEMORY_CAPACITY > 0 {
+            self.memory().put(hash, key.clone(), value.clone());
+        }
+    }
+
+    /// Looks `key` up: memory tier first, then disk (promoting a valid
+    /// disk entry into memory).
+    pub(crate) fn get(&self, key: &E::Key) -> Option<E::Value> {
+        let hash = E::address(key);
+        if let Some(value) = self.memory().get(hash) {
+            return Some(value);
+        }
+        let (_, key, value) = self.load(hash)?;
+        self.remember(hash, &key, &value);
+        Some(value)
+    }
+
+    /// Reads and validates the entry file of `hash`, returning its text,
+    /// key and value. Every failure degrades to `None`; all but absence
+    /// and a format bump are counted corrupt.
+    pub(crate) fn load(&self, hash: u128) -> Option<(String, E::Key, E::Value)> {
+        let path = self.path(hash)?;
+        let text = match std::fs::read_to_string(&path) {
+            Ok(text) => text,
+            Err(e) if e.kind() == std::io::ErrorKind::NotFound => return None,
+            Err(_) => {
+                self.corrupt(&path, "read");
+                return None;
+            }
+        };
+        match Self::validate(&text, Some(hash)) {
+            Ok((_, key, value)) => Some((text, key, value)),
+            Err(CLEAN_MISS) => None,
+            Err(kind) => {
+                self.corrupt(&path, kind);
+                None
+            }
+        }
+    }
+
+    /// Validates serialized entry bytes: parse, format ([`CLEAN_MISS`]
+    /// when not current), checksum, the recorded key (against the content
+    /// address `want`, when given), then the payload. Returns the entry's
+    /// address, key and value, or the failure kind.
+    pub(crate) fn validate(
+        text: &str,
+        want: Option<u128>,
+    ) -> Result<(u128, E::Key, E::Value), &'static str> {
+        let entry: E = serde_json::from_str(text).map_err(|_| "parse")?;
+        if !entry.current_format() {
+            return Err(CLEAN_MISS);
+        }
+        if !entry.checksum_ok() {
+            return Err("checksum");
+        }
+        let key = entry.key().ok_or("key-mismatch")?;
+        let hash = E::address(&key);
+        if want.is_some_and(|want| want != hash) {
+            // A content-hash collision, a hand-edited or a moved file:
+            // the payload does not answer the key asked for.
+            return Err("key-mismatch");
+        }
+        Ok((hash, key, entry.into_value()?))
+    }
+
+    /// The serialized bytes of `value` under `key`.
+    pub(crate) fn encode(key: &E::Key, value: &E::Value) -> String {
+        let mut w = if E::PRETTY {
+            serde::Writer::pretty()
+        } else {
+            serde::Writer::compact()
+        };
+        E::encode(key, value).serialize(&mut w);
+        w.into_string()
+    }
+
+    /// Encodes and commits `value` under `key`.
+    pub(crate) fn put(&self, key: &E::Key, value: &E::Value) {
+        self.commit(key, value, &Self::encode(key, value));
+    }
+
+    /// Commits `text`, the serialized form of `value` under `key`, to the
+    /// memory tier and the disk. A failed write is a warm-cache loss, not
+    /// an error for the caller: it is reported by an event and by the
+    /// `false` return.
+    pub(crate) fn commit(&self, key: &E::Key, value: &E::Value, text: &str) -> bool {
+        let hash = E::address(key);
+        self.remember(hash, key, value);
+        let Some(path) = self.path(hash) else {
+            return true;
+        };
+        let Err(e) = Self::write(&path, text) else {
+            return true;
+        };
+        if act_obs::enabled() {
+            act_obs::event(E::WRITE_FAILED_EVENT)
+                .str("error", &e.to_string())
+                .emit();
+        }
+        false
+    }
+
+    fn write(path: &Path, text: &str) -> std::io::Result<()> {
+        if E::TEARABLE {
+            if let Some(keep) = crate::chaos::torn_write(text.len()) {
+                // An injected torn write: commit a truncated prefix
+                // directly to the final path, deliberately bypassing the
+                // rename — the crash-mid-write the rename discipline
+                // normally makes unobservable.
+                return std::fs::write(path, &text.as_bytes()[..keep]);
+            }
+        }
+        let tmp = path.with_extension(format!(
+            "tmp.{}.{}",
+            std::process::id(),
+            TMP_SEQ.fetch_add(1, Ordering::Relaxed)
+        ));
+        // The rename is the commit point: concurrent readers see either
+        // the old complete entry or the new complete entry, never bytes
+        // in between.
+        std::fs::write(&tmp, text)
+            .and_then(|_| std::fs::rename(&tmp, path))
+            .inspect_err(|_| {
+                let _ = std::fs::remove_file(&tmp);
+            })
+    }
+
+    /// Every `(content hash, file text)` pair in this kind's directory
+    /// whose file name is a well-formed address, in hash order.
+    pub(crate) fn files(&self) -> Vec<(u128, String)> {
+        let Some(read) = self.dir().and_then(|dir| std::fs::read_dir(dir).ok()) else {
+            return Vec::new();
+        };
+        let mut out = Vec::new();
+        for entry in read.flatten() {
+            let name = entry.file_name();
+            let hash = name
+                .to_str()
+                .and_then(|n| n.strip_prefix(E::PREFIX)?.strip_suffix(".json"))
+                .and_then(parse_hash_hex);
+            if let Some(hash) = hash {
+                if let Ok(text) = std::fs::read_to_string(entry.path()) {
+                    out.push((hash, text));
+                }
+            }
+        }
+        out.sort_by_key(|&(h, _)| h);
+        out
+    }
+
+    fn corrupt(&self, path: &Path, kind: &str) {
+        E::CORRUPT.add(1);
+        if act_obs::enabled() {
+            act_obs::event(E::CORRUPT_EVENT)
+                .str("path", &path.display().to_string())
+                .str("kind", kind)
+                .emit();
+        }
+    }
+}
+
+/// The memory tier: least-recently-used eviction over a map bounded by
+/// the kind's [`Entry::MEMORY_CAPACITY`].
+struct Lru<E: Entry> {
+    map: HashMap<u128, (E::Key, E::Value, u64)>,
+    clock: u64,
+}
+
+impl<E: Entry> Lru<E> {
+    fn get(&mut self, hash: u128) -> Option<E::Value> {
+        self.clock += 1;
+        let clock = self.clock;
+        self.map.get_mut(&hash).map(|(_, v, stamp)| {
+            *stamp = clock;
+            v.clone()
+        })
+    }
+
+    fn put(&mut self, hash: u128, key: E::Key, value: E::Value) {
+        self.clock += 1;
+        self.map.insert(hash, (key, value, self.clock));
+        while self.map.len() > E::MEMORY_CAPACITY {
+            // The map is small (at most 1024 entries), so the linear scan
+            // is cheap next to computing what an entry holds.
+            let Some((&oldest, _)) = self.map.iter().min_by_key(|(_, (_, _, stamp))| *stamp) else {
+                break;
+            };
+            self.map.remove(&oldest);
+        }
+    }
+}
 
 /// Sub-directory of the store root where scrub moves corrupt entries it
 /// cannot repair. Quarantined files keep their name plus a `.corrupt`
@@ -44,9 +365,9 @@ use crate::{
 /// never sees them again.
 const QUARANTINE_SUBDIR: &str = "quarantine";
 
-/// Version of the on-disk entry format. Bumping it makes every existing
-/// entry a clean miss (the envelope check rejects old files without
-/// counting them as corrupt).
+/// Version of the on-disk verdict entry format. Bumping it makes every
+/// existing entry a clean miss (the format check rejects old files
+/// without counting them as corrupt).
 pub const STORE_FORMAT_VERSION: u32 = 1;
 
 /// The canonical identity of one solvability query.
@@ -150,11 +471,15 @@ impl StoredVerdict {
             _ => None,
         }
     }
+
+    fn is_authoritative(&self) -> bool {
+        self.verdict == "solvable" || self.verdict == "no-map"
+    }
 }
 
-/// On-disk envelope of one entry. Flat named fields only (the vendored
-/// serde derive's supported shape); the witness rides as two parallel
-/// index columns.
+/// On-disk envelope of one verdict entry. Flat named fields only (the
+/// vendored serde derive's supported shape); the witness rides as two
+/// parallel index columns.
 #[derive(Clone, Debug, Serialize, Deserialize)]
 struct DiskEntry {
     format: u32,
@@ -170,23 +495,6 @@ struct DiskEntry {
 }
 
 impl DiskEntry {
-    fn new(key: &StoreKey, v: &StoredVerdict) -> DiskEntry {
-        let mut e = DiskEntry {
-            format: STORE_FORMAT_VERSION,
-            model: key.model.clone(),
-            task: key.task.clone(),
-            level: key.level,
-            engine_schema: key.engine_schema,
-            verdict: v.verdict.clone(),
-            iterations: v.iterations,
-            witness_from: v.witness.iter().map(|&(a, _)| a).collect(),
-            witness_to: v.witness.iter().map(|&(_, b)| b).collect(),
-            checksum: 0,
-        };
-        e.checksum = e.payload_checksum();
-        e
-    }
-
     /// FNV-1a over every field except `checksum`, in a fixed order.
     fn payload_checksum(&self) -> u64 {
         let mut text = format!(
@@ -204,204 +512,127 @@ impl DiskEntry {
         }
         fnv1a64(0xcbf29ce484222325, text.as_bytes())
     }
-
-    fn into_verdict(self) -> StoredVerdict {
-        StoredVerdict {
-            verdict: self.verdict,
-            iterations: self.iterations,
-            witness: self.witness_from.into_iter().zip(self.witness_to).collect(),
-        }
-    }
 }
 
-/// Parses serialized entry bytes without validating them.
-fn parse_entry_text(text: &str) -> Option<DiskEntry> {
-    serde_json::from_str(text).ok()
-}
+impl Entry for DiskEntry {
+    type Key = StoreKey;
+    type Value = StoredVerdict;
+    const SUBDIR: &'static str = "";
+    const PREFIX: &'static str = "";
+    const PRETTY: bool = true;
+    const MEMORY_CAPACITY: usize = 1024;
+    const CORRUPT: &'static Counter = &SERVE_STORE_CORRUPT;
+    const CORRUPT_EVENT: &'static str = "serve.store.corrupt";
+    const WRITE_FAILED_EVENT: &'static str = "serve.store.write_failed";
+    const TEARABLE: bool = true;
 
-/// Full validation of serialized entry bytes against the content
-/// address they claim: parse, format version, payload checksum, witness
-/// shape, authoritative verdict string, and the self-consistency of the
-/// key fields with `hash`. The error is the failure kind (`"format"`
-/// is the *clean-miss* kind — an old format version, not corruption).
-fn validate_entry_text(hash: u128, text: &str) -> Result<DiskEntry, &'static str> {
-    let Some(entry) = parse_entry_text(text) else {
-        return Err("parse");
-    };
-    if entry.format != STORE_FORMAT_VERSION {
-        return Err("format");
+    fn address(key: &StoreKey) -> u128 {
+        key.content_hash()
     }
-    if entry.checksum != entry.payload_checksum() {
-        return Err("checksum");
-    }
-    if entry.witness_from.len() != entry.witness_to.len() {
-        return Err("witness-shape");
-    }
-    if entry.verdict != "solvable" && entry.verdict != "no-map" {
-        return Err("verdict");
-    }
-    let key = StoreKey {
-        model: entry.model.clone(),
-        task: entry.task.clone(),
-        level: entry.level,
-        engine_schema: entry.engine_schema,
-    };
-    if key.content_hash() != hash {
-        return Err("key-mismatch");
-    }
-    Ok(entry)
-}
 
-/// The two-tier verdict store. All methods are `&self` and thread-safe;
-/// multiple processes may share one directory (writes are atomic
-/// renames, so readers never see partial entries).
-pub struct VerdictStore {
-    dir: Option<PathBuf>,
-    memory: Mutex<MemoryTier>,
-    merkle: Mutex<MerkleIndex>,
-    tmp_seq: AtomicU64,
-}
+    fn encode(key: &StoreKey, v: &StoredVerdict) -> DiskEntry {
+        let mut e = DiskEntry {
+            format: STORE_FORMAT_VERSION,
+            model: key.model.clone(),
+            task: key.task.clone(),
+            level: key.level,
+            engine_schema: key.engine_schema,
+            verdict: v.verdict.clone(),
+            iterations: v.iterations,
+            witness_from: v.witness.iter().map(|&(a, _)| a).collect(),
+            witness_to: v.witness.iter().map(|&(_, b)| b).collect(),
+            checksum: 0,
+        };
+        e.checksum = e.payload_checksum();
+        e
+    }
 
-struct MemoryTier {
-    map: HashMap<u128, (StoreKey, StoredVerdict, u64)>,
-    clock: u64,
-    capacity: usize,
-}
+    fn current_format(&self) -> bool {
+        self.format == STORE_FORMAT_VERSION
+    }
 
-impl MemoryTier {
-    fn get(&mut self, hash: u128) -> Option<StoredVerdict> {
-        self.clock += 1;
-        let clock = self.clock;
-        self.map.get_mut(&hash).map(|(_, v, stamp)| {
-            *stamp = clock;
-            v.clone()
+    fn checksum_ok(&self) -> bool {
+        self.checksum == self.payload_checksum()
+    }
+
+    fn key(&self) -> Option<StoreKey> {
+        Some(StoreKey {
+            model: self.model.clone(),
+            task: self.task.clone(),
+            level: self.level,
+            engine_schema: self.engine_schema,
         })
     }
 
-    /// The full `(key, verdict)` pair, *without* LRU promotion — the
-    /// scrub pass peeks at residency, it is not an access.
-    fn peek_entry(&self, hash: u128) -> Option<(StoreKey, StoredVerdict)> {
-        self.map.get(&hash).map(|(k, v, _)| (k.clone(), v.clone()))
-    }
-
-    fn put(&mut self, hash: u128, key: StoreKey, v: StoredVerdict) {
-        self.clock += 1;
-        let clock = self.clock;
-        self.map.insert(hash, (key, v, clock));
-        while self.map.len() > self.capacity {
-            // Evict the least-recently-used entry; the map is bounded
-            // (default 1024), so the linear scan is cheap next to one
-            // engine run.
-            let Some((&oldest, _)) = self.map.iter().min_by_key(|(_, (_, _, stamp))| *stamp) else {
-                break;
-            };
-            self.map.remove(&oldest);
+    fn into_value(self) -> Result<StoredVerdict, &'static str> {
+        if self.witness_from.len() != self.witness_to.len() {
+            return Err("witness-shape");
         }
+        let v = StoredVerdict {
+            verdict: self.verdict,
+            iterations: self.iterations,
+            witness: self.witness_from.into_iter().zip(self.witness_to).collect(),
+        };
+        if !v.is_authoritative() {
+            return Err("verdict");
+        }
+        Ok(v)
     }
 }
 
-/// Default in-memory tier capacity (entries).
-const DEFAULT_MEMORY_CAPACITY: usize = 1024;
+/// The verdict kind's chassis.
+type Verdicts = ContentStore<DiskEntry>;
+
+/// The verdict kind of the content store, with its Merkle index. All
+/// methods are `&self` and thread-safe; multiple processes may share one
+/// directory (writes are atomic renames, so readers never see partial
+/// entries).
+pub struct VerdictStore {
+    entries: Verdicts,
+    merkle: Mutex<MerkleIndex>,
+}
 
 impl VerdictStore {
     /// A store with no disk tier (tests, ephemeral servers).
     pub fn in_memory() -> VerdictStore {
         VerdictStore {
-            dir: None,
-            memory: Mutex::new(MemoryTier {
-                map: HashMap::new(),
-                clock: 0,
-                capacity: DEFAULT_MEMORY_CAPACITY,
-            }),
+            entries: ContentStore::in_memory(),
             merkle: Mutex::new(MerkleIndex::new()),
-            tmp_seq: AtomicU64::new(0),
         }
     }
 
     /// Opens (creating if needed) the on-disk tier at `dir` and builds
-    /// the Merkle index from the entries already present (invalid files
-    /// are left unindexed for the scrub pass to repair or quarantine).
+    /// the Merkle index from the *valid* entries already present (invalid
+    /// files are left unindexed for the scrub pass to repair or
+    /// quarantine). Running servers converge through [`Self::scrub`].
     pub fn open(dir: &Path) -> std::io::Result<VerdictStore> {
-        std::fs::create_dir_all(dir)?;
-        let mut store = VerdictStore::in_memory();
-        store.dir = Some(dir.to_path_buf());
-        store.rebuild_index();
-        Ok(store)
-    }
-
-    /// Rescans the disk tier and rebuilds the Merkle index from every
-    /// *valid* entry file. Only called while `&mut` (open): running
-    /// servers converge through [`Self::scrub`] instead.
-    fn rebuild_index(&mut self) {
+        let entries = Verdicts::open(dir)?;
         let mut index = MerkleIndex::new();
-        for (hash, text) in self.disk_entries() {
-            if validate_entry_text(hash, &text).is_ok() {
+        for (hash, text) in entries.files() {
+            if Verdicts::validate(&text, Some(hash)).is_ok() {
                 index.insert(hash, content_hash128(text.as_bytes()));
             }
         }
-        *self.merkle.lock().unwrap_or_else(|e| e.into_inner()) = index;
+        Ok(VerdictStore {
+            entries,
+            merkle: Mutex::new(index),
+        })
     }
 
-    /// Every `(content hash, file text)` pair at the store root whose
-    /// file name is a well-formed content address.
-    fn disk_entries(&self) -> Vec<(u128, String)> {
-        let Some(dir) = self.dir.as_ref() else {
-            return Vec::new();
-        };
-        let Ok(read) = std::fs::read_dir(dir) else {
-            return Vec::new();
-        };
-        let mut out = Vec::new();
-        for entry in read.flatten() {
-            let name = entry.file_name();
-            let Some(stem) = name.to_str().and_then(|n| n.strip_suffix(".json")) else {
-                continue;
-            };
-            let Some(hash) = parse_hash_hex(stem) else {
-                continue;
-            };
-            if let Ok(text) = std::fs::read_to_string(entry.path()) {
-                out.push((hash, text));
-            }
-        }
-        out.sort_by_key(|&(h, _)| h);
-        out
-    }
-
-    /// Overrides the in-memory tier's capacity (entries; minimum 1).
-    pub fn with_memory_capacity(self, capacity: usize) -> VerdictStore {
-        self.memory
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .capacity = capacity.max(1);
-        self
+    fn merkle(&self) -> MutexGuard<'_, MerkleIndex> {
+        self.merkle.lock().unwrap_or_else(|e| e.into_inner())
     }
 
     /// The on-disk path of `key`'s entry, when a disk tier is configured.
     pub fn entry_path(&self, key: &StoreKey) -> Option<PathBuf> {
-        self.dir
-            .as_ref()
-            .map(|d| d.join(format!("{:032x}.json", key.content_hash())))
+        self.entries.path(key.content_hash())
     }
 
     /// Looks `key` up: memory tier first, then disk (promoting a disk
-    /// hit into memory). Any malformed disk entry degrades to `None`.
+    /// hit into memory). Any malformed or non-authoritative disk entry
+    /// degrades to a counted miss.
     pub fn get(&self, key: &StoreKey) -> Option<StoredVerdict> {
-        let hash = key.content_hash();
-        if let Some(v) = self
-            .memory
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .get(hash)
-        {
-            return Some(v);
-        }
-        let v = self.load_from_disk(key)?;
-        self.memory
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .put(hash, key.clone(), v.clone());
-        Some(v)
+        self.entries.get(key)
     }
 
     /// Persists an authoritative verdict under `key` (memory + disk) and
@@ -414,136 +645,84 @@ impl VerdictStore {
     /// [`crate::chaos::ServeFaultPlan`]: the index is the store's
     /// commitment, and the scrub pass repairs the disk back to it.
     pub fn put(&self, key: &StoreKey, v: &StoredVerdict) -> bool {
-        if v.verdict != "solvable" && v.verdict != "no-map" {
+        if !v.is_authoritative() {
             return false;
         }
-        let hash = key.content_hash();
-        self.memory
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .put(hash, key.clone(), v.clone());
-        let entry = DiskEntry::new(key, v);
-        let Ok(json) = serde_json::to_string_pretty(&entry) else {
-            return true;
-        };
-        self.merkle
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .insert(hash, content_hash128(json.as_bytes()));
-        if let Some(path) = self.entry_path(key) {
-            if let Err(e) = self.write_atomically(&path, &json) {
-                // A failed persist is a warm-cache loss, not a failure
-                // of the query itself.
-                if act_obs::enabled() {
-                    act_obs::event("serve.store.write_failed")
-                        .str("error", &e.to_string())
-                        .emit();
-                }
-            }
-        }
+        self.commit(key, v, &Verdicts::encode(key, v));
         true
     }
 
+    /// The one commit step of [`Self::put`], [`Self::put_raw_entry`] and
+    /// the scrub repair: the Merkle leaf of `json`, then the memory tier
+    /// and the disk. `false` when the disk write failed.
+    fn commit(&self, key: &StoreKey, v: &StoredVerdict, json: &str) -> bool {
+        self.merkle()
+            .insert(key.content_hash(), content_hash128(json.as_bytes()));
+        self.entries.commit(key, v, json)
+    }
+
     /// The disk-tier directory, when one is configured. The tower store
-    /// ([`TowerStore`]) nests under it so verdict entries and tower
-    /// entries share one `--store` root without mixing files.
+    /// ([`TowerStore`]) and the FPC summaries nest under it, so every
+    /// kind shares one `--store` root without mixing files.
     pub fn disk_dir(&self) -> Option<&Path> {
-        self.dir.as_deref()
+        self.entries.dir()
     }
 
     /// Number of entries currently resident in the memory tier.
     pub fn memory_len(&self) -> usize {
-        self.memory
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .map
-            .len()
+        self.entries.memory_len()
     }
 
     /// The current Merkle root over every committed entry
     /// ([`crate::merkle::EMPTY_ROOT`] when the store is empty).
     pub fn merkle_root(&self) -> u128 {
-        self.merkle.lock().unwrap_or_else(|e| e.into_inner()).root()
+        self.merkle().root()
     }
 
     /// Number of entries in the Merkle index.
     pub fn merkle_len(&self) -> usize {
-        self.merkle.lock().unwrap_or_else(|e| e.into_inner()).len()
+        self.merkle().len()
     }
 
     /// Every indexed `(entry hash, file hash)` pair in canonical order —
     /// the anti-entropy exchange unit.
     pub fn entry_list(&self) -> Vec<(u128, u128)> {
-        self.merkle
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .entries()
+        self.merkle().entries()
     }
 
     /// The inclusion proof of `key`'s entry under the current root, or
     /// `None` when the entry is not committed.
     pub fn inclusion_proof(&self, key: &StoreKey) -> Option<InclusionProof> {
-        self.merkle
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .proof(key.content_hash())
+        self.merkle().proof(key.content_hash())
     }
 
     /// The canonical serialized bytes of the entry addressed by `hash` —
     /// what replication and anti-entropy fetch ship between peers. Disk
-    /// tier first (the committed bytes), falling back to re-encoding the
-    /// memory tier's copy; `None` when the entry is unknown or its disk
-    /// copy no longer validates.
+    /// tier first (the committed bytes; a damaged file is counted
+    /// corrupt), falling back to re-encoding the memory tier's copy;
+    /// `None` when neither tier holds a valid copy.
     pub fn raw_entry(&self, hash: u128) -> Option<String> {
-        if let Some(dir) = self.dir.as_ref() {
-            let path = dir.join(format!("{hash:032x}.json"));
-            if let Ok(text) = std::fs::read_to_string(&path) {
-                if validate_entry_text(hash, &text).is_ok() {
-                    return Some(text);
-                }
-            }
+        if let Some((text, ..)) = self.entries.load(hash) {
+            return Some(text);
         }
-        let (key, v) = self
-            .memory
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .peek_entry(hash)?;
-        serde_json::to_string_pretty(&DiskEntry::new(&key, &v)).ok()
+        let (key, v) = self.entries.peek(hash)?;
+        Some(Verdicts::encode(&key, &v))
     }
 
     /// Accepts a replicated entry in its serialized form (a peer's
     /// [`Self::raw_entry`]). The bytes are fully validated — parse,
-    /// format, checksum, witness shape, and self-consistent content
-    /// address — before being committed verbatim, so a corrupt or
-    /// tampered replica can never poison this store. Returns `false`
-    /// (and stores nothing) for invalid bytes.
+    /// format, checksum, self-consistent content address, witness shape
+    /// and authoritative verdict — before being committed verbatim, so a
+    /// corrupt or tampered replica can never poison this store. Returns
+    /// `false` (and stores nothing) for invalid bytes.
     pub fn put_raw_entry(&self, json: &str) -> bool {
-        let Some(entry) = parse_entry_text(json) else {
-            return false;
-        };
-        let key = StoreKey {
-            model: entry.model.clone(),
-            task: entry.task.clone(),
-            level: entry.level,
-            engine_schema: entry.engine_schema,
-        };
-        let hash = key.content_hash();
-        if validate_entry_text(hash, json).is_err() {
-            return false;
+        match Verdicts::validate(json, None) {
+            Ok((_, key, v)) => {
+                self.commit(&key, &v, json);
+                true
+            }
+            Err(_) => false,
         }
-        self.memory.lock().unwrap_or_else(|e| e.into_inner()).put(
-            hash,
-            key.clone(),
-            entry.clone().into_verdict(),
-        );
-        self.merkle
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .insert(hash, content_hash128(json.as_bytes()));
-        if let Some(path) = self.entry_path(&key) {
-            let _ = self.write_atomically(&path, json);
-        }
-        true
     }
 
     /// One scrub pass: re-reads and re-validates every entry file at the
@@ -560,28 +739,28 @@ impl VerdictStore {
     pub fn scrub(&self, fetch: Option<&dyn Fn(u128) -> Option<String>>) -> ScrubReport {
         let span = act_obs::span("serve.store.scrub");
         let mut report = ScrubReport::default();
-        let disk = self.disk_entries();
+        let disk = self.entries.files();
         let mut seen: Vec<u128> = Vec::with_capacity(disk.len());
         for (hash, text) in disk {
             report.checked += 1;
             seen.push(hash);
-            match validate_entry_text(hash, &text) {
+            match Verdicts::validate(&text, Some(hash)) {
                 Ok(_) => {
                     let file_hash = content_hash128(text.as_bytes());
-                    let mut index = self.merkle.lock().unwrap_or_else(|e| e.into_inner());
+                    let mut index = self.merkle();
                     if index.file_hash(hash) != Some(file_hash) {
                         index.insert(hash, file_hash);
                         report.refreshed += 1;
                     }
                 }
-                Err("format") => {
+                Err(CLEAN_MISS) => {
                     // A format-version bump is a clean miss everywhere:
                     // the scrub neither repairs nor quarantines it.
                 }
                 Err(kind) => {
                     report.corrupt += 1;
                     SERVE_SCRUB_CORRUPT.add(1);
-                    self.emit_corrupt_kind("serve.scrub.corrupt", hash, kind);
+                    emit_scrub_corrupt(hash, kind);
                     if self.repair_entry(hash, fetch) {
                         report.repaired += 1;
                         SERVE_SCRUB_REPAIRED.add(1);
@@ -593,28 +772,24 @@ impl VerdictStore {
                 }
             }
         }
-        if self.dir.is_some() {
+        if self.entries.dir().is_some() {
             // Entries the index still carries but whose file vanished
             // (external deletion): treat like corruption — restore or
             // forget.
             seen.sort_unstable();
-            let indexed = self.entry_list();
-            for (hash, _) in indexed {
+            for (hash, _) in self.entry_list() {
                 if seen.binary_search(&hash).is_ok() {
                     continue;
                 }
                 report.checked += 1;
                 report.corrupt += 1;
                 SERVE_SCRUB_CORRUPT.add(1);
-                self.emit_corrupt_kind("serve.scrub.corrupt", hash, "missing");
+                emit_scrub_corrupt(hash, "missing");
                 if self.repair_entry(hash, fetch) {
                     report.repaired += 1;
                     SERVE_SCRUB_REPAIRED.add(1);
                 } else {
-                    self.merkle
-                        .lock()
-                        .unwrap_or_else(|e| e.into_inner())
-                        .remove(hash);
+                    self.merkle().remove(hash);
                     report.quarantined += 1;
                     SERVE_SCRUB_QUARANTINED.add(1);
                 }
@@ -638,32 +813,18 @@ impl VerdictStore {
     /// the memory tier (re-encoded canonically), else a `fetch`ed peer
     /// copy (validated before commit). `true` on success.
     fn repair_entry(&self, hash: u128, fetch: Option<&dyn Fn(u128) -> Option<String>>) -> bool {
-        let resident = self
-            .memory
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .peek_entry(hash);
-        if let Some((key, v)) = resident {
-            if let Ok(json) = serde_json::to_string_pretty(&DiskEntry::new(&key, &v)) {
-                if let Some(path) = self.entry_path(&key) {
-                    if self.write_atomically(&path, &json).is_ok() {
-                        self.merkle
-                            .lock()
-                            .unwrap_or_else(|e| e.into_inner())
-                            .insert(hash, content_hash128(json.as_bytes()));
-                        return true;
-                    }
-                }
+        if let Some((key, v)) = self.entries.peek(hash) {
+            if self.commit(&key, &v, &Verdicts::encode(&key, &v)) {
+                return true;
             }
         }
-        if let Some(fetch) = fetch {
-            if let Some(json) = fetch(hash) {
-                if validate_entry_text(hash, &json).is_ok() {
-                    return self.put_raw_entry(&json);
-                }
-            }
+        let Some(json) = fetch.and_then(|fetch| fetch(hash)) else {
+            return false;
+        };
+        match Verdicts::validate(&json, Some(hash)) {
+            Ok((_, key, v)) => self.commit(&key, &v, &json),
+            Err(_) => false,
         }
-        false
     }
 
     /// Moves `hash`'s entry file into `quarantine/` (dropping it from
@@ -671,14 +832,10 @@ impl VerdictStore {
     /// turning the entry into a clean miss. Deletion is the fallback if
     /// the move itself fails.
     fn quarantine(&self, hash: u128) {
-        self.merkle
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .remove(hash);
-        let Some(dir) = self.dir.as_ref() else {
+        self.merkle().remove(hash);
+        let (Some(dir), Some(src)) = (self.entries.dir(), self.entries.path(hash)) else {
             return;
         };
-        let src = dir.join(format!("{hash:032x}.json"));
         let qdir = dir.join(QUARANTINE_SUBDIR);
         let moved = std::fs::create_dir_all(&qdir)
             .and_then(|_| std::fs::rename(&src, qdir.join(format!("{hash:032x}.json.corrupt"))));
@@ -686,100 +843,20 @@ impl VerdictStore {
             let _ = std::fs::remove_file(&src);
         }
     }
+}
 
-    fn emit_corrupt_kind(&self, event: &str, hash: u128, kind: &str) {
-        if act_obs::enabled() {
-            act_obs::event(event)
-                .str("entry", &format!("{hash:032x}"))
-                .str("kind", kind)
-                .emit();
-        }
-    }
-
-    fn write_atomically(&self, path: &Path, json: &str) -> std::io::Result<()> {
-        if let Some(keep) = crate::chaos::torn_write(json.len()) {
-            // An injected torn write: commit a truncated prefix directly
-            // to the final path, deliberately bypassing the atomic
-            // rename — this is the crash-mid-write the rename discipline
-            // normally makes unobservable.
-            return std::fs::write(path, &json.as_bytes()[..keep]);
-        }
-        let tmp = path.with_extension(format!(
-            "tmp.{}.{}",
-            std::process::id(),
-            self.tmp_seq.fetch_add(1, Ordering::Relaxed)
-        ));
-        std::fs::write(&tmp, json)?;
-        // The rename is the commit point: concurrent readers see either
-        // the old complete entry or the new complete entry, never bytes
-        // in between.
-        std::fs::rename(&tmp, path)
-    }
-
-    fn load_from_disk(&self, key: &StoreKey) -> Option<StoredVerdict> {
-        let path = self.entry_path(key)?;
-        let text = match std::fs::read_to_string(&path) {
-            Ok(t) => t,
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => return None,
-            Err(_) => {
-                SERVE_STORE_CORRUPT.add(1);
-                return None;
-            }
-        };
-        let entry: DiskEntry = match serde_json::from_str(&text) {
-            Ok(e) => e,
-            Err(_) => {
-                SERVE_STORE_CORRUPT.add(1);
-                self.emit_corrupt(&path, "parse");
-                return None;
-            }
-        };
-        if entry.format != STORE_FORMAT_VERSION {
-            // An older/newer format is a clean miss, not corruption.
-            return None;
-        }
-        if entry.checksum != entry.payload_checksum() {
-            SERVE_STORE_CORRUPT.add(1);
-            self.emit_corrupt(&path, "checksum");
-            return None;
-        }
-        if entry.model != key.model
-            || entry.task != key.task
-            || entry.level != key.level
-            || entry.engine_schema != key.engine_schema
-        {
-            // A content-hash collision (or a hand-edited file): the
-            // payload is not an answer to this query.
-            SERVE_STORE_CORRUPT.add(1);
-            self.emit_corrupt(&path, "key-mismatch");
-            return None;
-        }
-        if entry.witness_from.len() != entry.witness_to.len() {
-            SERVE_STORE_CORRUPT.add(1);
-            self.emit_corrupt(&path, "witness-shape");
-            return None;
-        }
-        Some(entry.into_verdict())
-    }
-
-    fn emit_corrupt(&self, path: &Path, kind: &str) {
-        if act_obs::enabled() {
-            act_obs::event("serve.store.corrupt")
-                .str("path", &path.display().to_string())
-                .str("kind", kind)
-                .emit();
-        }
+fn emit_scrub_corrupt(hash: u128, kind: &str) {
+    if act_obs::enabled() {
+        act_obs::event("serve.scrub.corrupt")
+            .str("entry", &format!("{hash:032x}"))
+            .str("kind", kind)
+            .emit();
     }
 }
 
 /// Version of the on-disk tower entry format. Bumping it makes every
 /// existing tower entry a clean miss.
 pub const TOWER_FORMAT_VERSION: u32 = 1;
-
-/// Sub-directory of the verdict store root that holds tower entries —
-/// kept apart so tooling that enumerates `*.json` verdict entries at the
-/// root is unaffected by tower persistence.
-const TOWER_SUBDIR: &str = "towers";
 
 /// The canonical identity of one persisted domain-tower level
 /// `R_A^ℓ(I)`: the content hashes of the affine task's complex and the
@@ -832,7 +909,39 @@ struct TowerDiskEntry {
 }
 
 impl TowerDiskEntry {
-    fn new(key: &TowerKey, domain: &act_topology::Complex) -> TowerDiskEntry {
+    /// FNV-1a over every field except `checksum`, in a fixed order.
+    fn payload_checksum(&self) -> u64 {
+        let text = format!(
+            "{}|{}|{}|{}|{}|{}",
+            self.format,
+            self.affine_hash,
+            self.inputs_hash,
+            self.level,
+            self.portable_format,
+            self.complex_hex,
+        );
+        fnv1a64(0xcbf29ce484222325, text.as_bytes())
+    }
+}
+
+impl Entry for TowerDiskEntry {
+    type Key = TowerKey;
+    type Value = Complex;
+    const SUBDIR: &'static str = "towers";
+    const PREFIX: &'static str = "";
+    const PRETTY: bool = false;
+    // `DomainCache` already holds resident towers.
+    const MEMORY_CAPACITY: usize = 0;
+    const CORRUPT: &'static Counter = &SERVE_TOWER_CORRUPT;
+    const CORRUPT_EVENT: &'static str = "serve.tower.corrupt";
+    const WRITE_FAILED_EVENT: &'static str = "serve.tower.write_failed";
+    const TEARABLE: bool = false;
+
+    fn address(key: &TowerKey) -> u128 {
+        key.content_hash()
+    }
+
+    fn encode(key: &TowerKey, domain: &Complex) -> TowerDiskEntry {
         let mut e = TowerDiskEntry {
             format: TOWER_FORMAT_VERSION,
             affine_hash: format!("{:032x}", key.affine_hash),
@@ -846,18 +955,28 @@ impl TowerDiskEntry {
         e
     }
 
-    /// FNV-1a over every field except `checksum`, in a fixed order.
-    fn payload_checksum(&self) -> u64 {
-        let text = format!(
-            "{}|{}|{}|{}|{}|{}",
-            self.format,
-            self.affine_hash,
-            self.inputs_hash,
-            self.level,
-            self.portable_format,
-            self.complex_hex,
-        );
-        fnv1a64(0xcbf29ce484222325, text.as_bytes())
+    fn current_format(&self) -> bool {
+        self.format == TOWER_FORMAT_VERSION
+    }
+
+    fn checksum_ok(&self) -> bool {
+        self.checksum == self.payload_checksum()
+    }
+
+    fn key(&self) -> Option<TowerKey> {
+        if self.portable_format != act_topology::PORTABLE_FORMAT_VERSION {
+            return None;
+        }
+        Some(TowerKey {
+            affine_hash: parse_hash_hex(&self.affine_hash)?,
+            inputs_hash: parse_hash_hex(&self.inputs_hash)?,
+            level: self.level,
+        })
+    }
+
+    fn into_value(self) -> Result<Complex, &'static str> {
+        let bytes = hex_decode(&self.complex_hex).ok_or("payload-hex")?;
+        Complex::decode_portable(&bytes).map_err(|_| "payload-decode")
     }
 }
 
@@ -891,130 +1010,42 @@ fn hex_decode(text: &str) -> Option<Vec<u8>> {
     Some(out)
 }
 
-/// The content-addressed store of domain towers `R_A^ℓ(I)`: one
-/// checksummed JSON file per tower level, under the `towers/`
-/// sub-directory of a verdict-store root.
+/// The tower kind of the content store: the domain towers `R_A^ℓ(I)`,
+/// one checksummed compact JSON file per level under the `towers/`
+/// sub-directory of a store root, with no memory tier.
 ///
 /// The store implements [`fact::TowerPersistence`], so any
 /// [`fact::DomainCache`] can be backed by it: on a warm restart the
 /// cache loads each missing level from here (zero subdivision rounds)
-/// instead of rebuilding the tower. Writes are atomic renames; loading
-/// follows the verdict store's corruption discipline — a truncated,
-/// unparsable, checksum-mismatched, or undecodable entry is a miss
-/// counted by [`SERVE_TOWER_CORRUPT`](crate::SERVE_TOWER_CORRUPT),
-/// never a panic, and a format-version bump is a *clean* miss. Hits and
-/// clean misses are counted by
+/// instead of rebuilding the tower. Hits and clean misses are counted by
 /// [`SERVE_TOWER_HIT`](crate::SERVE_TOWER_HIT) /
-/// [`SERVE_TOWER_MISS`](crate::SERVE_TOWER_MISS).
-pub struct TowerStore {
-    dir: PathBuf,
-    tmp_seq: AtomicU64,
-}
+/// [`SERVE_TOWER_MISS`](crate::SERVE_TOWER_MISS), corrupt entries by
+/// [`SERVE_TOWER_CORRUPT`].
+pub struct TowerStore(ContentStore<TowerDiskEntry>);
 
 impl TowerStore {
     /// Opens (creating if needed) the tower store under `root/towers`,
-    /// where `root` is a verdict-store directory.
+    /// where `root` is a store root.
     pub fn open(root: &Path) -> std::io::Result<TowerStore> {
-        let dir = root.join(TOWER_SUBDIR);
-        std::fs::create_dir_all(&dir)?;
-        Ok(TowerStore {
-            dir,
-            tmp_seq: AtomicU64::new(0),
-        })
+        ContentStore::open(root).map(TowerStore)
     }
 
     /// The on-disk path of `key`'s entry.
     pub fn entry_path(&self, key: &TowerKey) -> PathBuf {
-        self.dir.join(format!("{:032x}.json", key.content_hash()))
+        let path = self.0.path(key.content_hash());
+        path.expect("an opened tower store has a disk tier")
     }
 
-    /// Loads and validates one tower level. Every failure mode degrades
-    /// to `None`; corruption (as opposed to absence or a format bump) is
-    /// counted and reported via `serve.tower.corrupt` events.
-    pub fn load(&self, key: &TowerKey) -> Option<act_topology::Complex> {
-        let path = self.entry_path(key);
-        let text = match std::fs::read_to_string(&path) {
-            Ok(t) => t,
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => return None,
-            Err(_) => {
-                crate::SERVE_TOWER_CORRUPT.add(1);
-                return None;
-            }
-        };
-        let entry: TowerDiskEntry = match serde_json::from_str(&text) {
-            Ok(e) => e,
-            Err(_) => {
-                crate::SERVE_TOWER_CORRUPT.add(1);
-                self.emit_corrupt(&path, "parse");
-                return None;
-            }
-        };
-        if entry.format != TOWER_FORMAT_VERSION {
-            // An older/newer format is a clean miss, not corruption.
-            return None;
-        }
-        if entry.checksum != entry.payload_checksum() {
-            crate::SERVE_TOWER_CORRUPT.add(1);
-            self.emit_corrupt(&path, "checksum");
-            return None;
-        }
-        if entry.affine_hash != format!("{:032x}", key.affine_hash)
-            || entry.inputs_hash != format!("{:032x}", key.inputs_hash)
-            || entry.level != key.level
-            || entry.portable_format != act_topology::PORTABLE_FORMAT_VERSION
-        {
-            // A content-hash collision (or a hand-edited file): the
-            // payload is not the tower level this key names.
-            crate::SERVE_TOWER_CORRUPT.add(1);
-            self.emit_corrupt(&path, "key-mismatch");
-            return None;
-        }
-        let Some(bytes) = hex_decode(&entry.complex_hex) else {
-            crate::SERVE_TOWER_CORRUPT.add(1);
-            self.emit_corrupt(&path, "payload-hex");
-            return None;
-        };
-        match act_topology::Complex::decode_portable(&bytes) {
-            Ok(c) => Some(c),
-            Err(_) => {
-                crate::SERVE_TOWER_CORRUPT.add(1);
-                self.emit_corrupt(&path, "payload-decode");
-                None
-            }
-        }
+    /// Loads and validates one tower level; every failure degrades to
+    /// `None`.
+    pub fn get(&self, key: &TowerKey) -> Option<Complex> {
+        self.0.get(key)
     }
 
     /// Persists one tower level under `key` (atomic rename). A failed
     /// write is a warm-cache loss, never an error for the caller.
-    pub fn store(&self, key: &TowerKey, domain: &act_topology::Complex) {
-        let path = self.entry_path(key);
-        let entry = TowerDiskEntry::new(key, domain);
-        let json = match serde_json::to_string(&entry) {
-            Ok(j) => j,
-            Err(_) => return,
-        };
-        let tmp = path.with_extension(format!(
-            "tmp.{}.{}",
-            std::process::id(),
-            self.tmp_seq.fetch_add(1, Ordering::Relaxed)
-        ));
-        let write = std::fs::write(&tmp, json).and_then(|_| std::fs::rename(&tmp, &path));
-        if let Err(e) = write {
-            if act_obs::enabled() {
-                act_obs::event("serve.tower.write_failed")
-                    .str("error", &e.to_string())
-                    .emit();
-            }
-        }
-    }
-
-    fn emit_corrupt(&self, path: &Path, kind: &str) {
-        if act_obs::enabled() {
-            act_obs::event("serve.tower.corrupt")
-                .str("path", &path.display().to_string())
-                .str("kind", kind)
-                .emit();
-        }
+    pub fn put(&self, key: &TowerKey, domain: &Complex) {
+        self.0.put(key, domain);
     }
 }
 
@@ -1025,16 +1056,12 @@ impl fact::TowerPersistence for TowerStore {
             inputs_hash,
             level: level as u32,
         };
-        match self.load(&key) {
-            Some(c) => {
-                crate::SERVE_TOWER_HIT.add(1);
-                Some(c)
-            }
-            None => {
-                crate::SERVE_TOWER_MISS.add(1);
-                None
-            }
+        let found = self.get(&key);
+        match found {
+            Some(_) => crate::SERVE_TOWER_HIT.add(1),
+            None => crate::SERVE_TOWER_MISS.add(1),
         }
+        found
     }
 
     fn store_level(&self, affine_hash: u128, inputs_hash: u128, level: usize, domain: &Complex) {
@@ -1043,7 +1070,7 @@ impl fact::TowerPersistence for TowerStore {
             inputs_hash,
             level: level as u32,
         };
-        self.store(&key, domain);
+        self.put(&key, domain);
     }
 }
 
@@ -1186,16 +1213,39 @@ mod tests {
 
     #[test]
     fn memory_tier_round_trips_and_evicts_lru() {
-        let store = VerdictStore::in_memory().with_memory_capacity(2);
-        let (k1, k2, k3) = (key(1), key(2), key(3));
-        assert!(store.put(&k1, &verdict()));
-        assert!(store.put(&k2, &verdict()));
-        assert_eq!(store.get(&k1), Some(verdict())); // refresh k1
-        assert!(store.put(&k3, &verdict())); // evicts k2 (LRU)
-        assert_eq!(store.memory_len(), 2);
-        assert!(store.get(&k1).is_some());
-        assert!(store.get(&k2).is_none());
-        assert!(store.get(&k3).is_some());
+        let store = VerdictStore::in_memory();
+        let capacity = <DiskEntry as Entry>::MEMORY_CAPACITY;
+        for level in 1..=capacity {
+            assert!(store.put(&key(level), &verdict()));
+        }
+        assert_eq!(store.get(&key(1)), Some(verdict())); // refresh level 1
+        assert!(store.put(&key(capacity + 1), &verdict())); // evicts level 2 (LRU)
+        assert_eq!(store.memory_len(), capacity);
+        assert!(store.get(&key(1)).is_some());
+        assert!(store.get(&key(2)).is_none());
+        assert!(store.get(&key(capacity + 1)).is_some());
+    }
+
+    #[test]
+    fn a_stored_non_authoritative_verdict_is_a_counted_corrupt_miss() {
+        let _serial = crate::test_serial_guard();
+        let dir = std::env::temp_dir().join(format!("fact-store-timed-out-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let store = VerdictStore::open(&dir).unwrap();
+        // A well-formed entry with a valid checksum, but a verdict that
+        // is a resource outcome rather than a fact about the model.
+        let mut forged = DiskEntry::encode(&key(1), &verdict());
+        forged.verdict = "timed-out".into();
+        forged.witness_from.clear();
+        forged.witness_to.clear();
+        forged.checksum = forged.payload_checksum();
+        let path = store.entry_path(&key(1)).unwrap();
+        std::fs::write(&path, serde_json::to_string_pretty(&forged).unwrap()).unwrap();
+        let corrupt_before = SERVE_STORE_CORRUPT.get();
+        assert_eq!(store.get(&key(1)), None);
+        assert_eq!(SERVE_STORE_CORRUPT.get() - corrupt_before, 1);
+        assert_eq!(store.memory_len(), 0, "nothing is promoted to memory");
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

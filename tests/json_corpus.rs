@@ -437,8 +437,7 @@ fn decode_as_every_type(bytes: &[u8]) -> usize {
 const STORE_LAYOUT: &str = include_str!("fixtures/store_layout.txt");
 
 fn temp_root(tag: &str) -> std::path::PathBuf {
-    let dir =
-        std::env::temp_dir().join(format!("fact-store-layout-{tag}-{}", std::process::id()));
+    let dir = std::env::temp_dir().join(format!("fact-store-layout-{tag}-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     dir
 }
@@ -501,7 +500,11 @@ fn render_store_files(root: &std::path::Path) -> String {
     let mut named: Vec<(String, String)> = files
         .iter()
         .map(|path| {
-            let name = path.strip_prefix(root).unwrap().to_string_lossy().into_owned();
+            let name = path
+                .strip_prefix(root)
+                .unwrap()
+                .to_string_lossy()
+                .into_owned();
             (name, std::fs::read_to_string(path).unwrap())
         })
         .collect();
@@ -521,7 +524,7 @@ fn a_store_root_holds_the_recorded_files_byte_for_byte() {
         assert!(verdicts.put(&key, &verdict));
     }
     let (tower_key, complex) = layout_tower();
-    TowerStore::open(&root).unwrap().store(&tower_key, &complex);
+    TowerStore::open(&root).unwrap().put(&tower_key, &complex);
     let (spec, stats) = layout_fpc();
     FpcCache::open(&root)
         .unwrap()
@@ -529,7 +532,10 @@ fn a_store_root_holds_the_recorded_files_byte_for_byte() {
     let rendered = render_store_files(&root);
     let file = "tests/fixtures/store_layout.txt";
     assert_corpus_matches(&rendered, STORE_LAYOUT, file);
-    assert!(rendered == STORE_LAYOUT, "{file} differs in its line endings");
+    assert!(
+        rendered == STORE_LAYOUT,
+        "{file} differs in its line endings"
+    );
     let _ = std::fs::remove_dir_all(&root);
 }
 
@@ -549,7 +555,7 @@ fn a_recorded_store_root_loads_every_entry() {
     }
     let (tower_key, complex) = layout_tower();
     assert_eq!(
-        TowerStore::open(&root).unwrap().load(&tower_key),
+        TowerStore::open(&root).unwrap().get(&tower_key),
         Some(complex)
     );
     let (spec, stats) = layout_fpc();

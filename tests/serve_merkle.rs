@@ -189,10 +189,10 @@ fn tower_entries_survive_truncation_at_every_byte_boundary() {
         inputs_hash: 9,
         level: 1,
     };
-    towers.store(&tower_key, &complex);
+    towers.put(&tower_key, &complex);
     let path = towers.entry_path(&tower_key);
     let full = std::fs::read(&path).unwrap();
-    assert_eq!(towers.load(&tower_key).as_ref(), Some(&complex));
+    assert_eq!(towers.get(&tower_key).as_ref(), Some(&complex));
     // Tower entries are big (hex-encoded complexes); checking every
     // boundary of a multi-kilobyte file is slow without telling us more
     // than a stride does, so step through it, but pin the edges.
@@ -202,7 +202,7 @@ fn tower_entries_survive_truncation_at_every_byte_boundary() {
         std::fs::write(&path, &full[..keep]).unwrap();
         let before = SERVE_TOWER_CORRUPT.get();
         assert!(
-            towers.load(&tower_key).is_none(),
+            towers.get(&tower_key).is_none(),
             "torn tower (keep {keep}/{}) must be a miss",
             full.len()
         );
@@ -210,7 +210,7 @@ fn tower_entries_survive_truncation_at_every_byte_boundary() {
     }
     assert!(corrupt_seen > 0, "torn tower loads are counted corrupt");
     std::fs::write(&path, &full).unwrap();
-    assert_eq!(towers.load(&tower_key).as_ref(), Some(&complex));
+    assert_eq!(towers.get(&tower_key).as_ref(), Some(&complex));
     let _ = std::fs::remove_dir_all(&dir);
 }
 
