@@ -198,7 +198,7 @@ impl<E: Entry> ContentStore<E> {
             }
         };
         match Self::validate(&text, Some(hash)) {
-            Ok((_, key, value)) => Some((text, key, value)),
+            Ok((key, value)) => Some((text, key, value)),
             Err(CLEAN_MISS) => None,
             Err(kind) => {
                 self.corrupt(&path, kind);
@@ -210,11 +210,11 @@ impl<E: Entry> ContentStore<E> {
     /// Validates serialized entry bytes: parse, format ([`CLEAN_MISS`]
     /// when not current), checksum, the recorded key (against the content
     /// address `want`, when given), then the payload. Returns the entry's
-    /// address, key and value, or the failure kind.
+    /// key and value, or the failure kind.
     pub(crate) fn validate(
         text: &str,
         want: Option<u128>,
-    ) -> Result<(u128, E::Key, E::Value), &'static str> {
+    ) -> Result<(E::Key, E::Value), &'static str> {
         let entry: E = serde_json::from_str(text).map_err(|_| "parse")?;
         if !entry.current_format() {
             return Err(CLEAN_MISS);
@@ -223,13 +223,12 @@ impl<E: Entry> ContentStore<E> {
             return Err("checksum");
         }
         let key = entry.key().ok_or("key-mismatch")?;
-        let hash = E::address(&key);
-        if want.is_some_and(|want| want != hash) {
+        if want.is_some_and(|want| want != E::address(&key)) {
             // A content-hash collision, a hand-edited or a moved file:
             // the payload does not answer the key asked for.
             return Err("key-mismatch");
         }
-        Ok((hash, key, entry.into_value()?))
+        Ok((key, entry.into_value()?))
     }
 
     /// The serialized bytes of `value` under `key`.
@@ -717,7 +716,7 @@ impl VerdictStore {
     /// `false` (and stores nothing) for invalid bytes.
     pub fn put_raw_entry(&self, json: &str) -> bool {
         match Verdicts::validate(json, None) {
-            Ok((_, key, v)) => {
+            Ok((key, v)) => {
                 self.commit(&key, &v, json);
                 true
             }
@@ -822,7 +821,7 @@ impl VerdictStore {
             return false;
         };
         match Verdicts::validate(&json, Some(hash)) {
-            Ok((_, key, v)) => self.commit(&key, &v, &json),
+            Ok((key, v)) => self.commit(&key, &v, &json),
             Err(_) => false,
         }
     }
