@@ -3,6 +3,8 @@
 
 use std::collections::HashMap;
 use std::fmt;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Arc, Mutex};
 
 use act_adversary::AgreementFunction;
 use act_topology::{all_recipes, ColorSet, Complex, ProcessId, Recipe, Simplex, VertexId};
@@ -36,6 +38,17 @@ pub struct AffineTask {
     /// The agreement function this task was built from, when it is a
     /// fair `R_A` ([`crate::fair_affine_task`]); `None` otherwise.
     alpha: Option<AgreementFunction>,
+    /// [`AffineTask::recipes`] per participating color set, computed on
+    /// first use. The task is immutable, so the answer never changes;
+    /// clones share the memo.
+    recipe_memo: Arc<RecipeMemo>,
+}
+
+#[derive(Default)]
+struct RecipeMemo {
+    sets: Mutex<HashMap<ColorSet, Arc<Vec<Recipe>>>>,
+    /// Recipe sets actually computed (memo misses).
+    computed: AtomicUsize,
 }
 
 impl AffineTask {
@@ -65,6 +78,7 @@ impl AffineTask {
             name: name.into(),
             complex,
             alpha: None,
+            recipe_memo: Arc::default(),
         }
     }
 
@@ -108,8 +122,31 @@ impl AffineTask {
     /// whose 2-round IS run lands in `L`.
     ///
     /// These recipes drive the iteration of the task over arbitrary
-    /// complexes.
-    pub fn recipes(&self, participants: ColorSet) -> Vec<Recipe> {
+    /// complexes. The set is memoized per color set on the task (and
+    /// shared by its clones), so every tower built over one task pays the
+    /// enumeration of all depth-2 recipes once; the `Arc` is handed to
+    /// the subdivision engine without copying.
+    pub fn recipes(&self, participants: ColorSet) -> Arc<Vec<Recipe>> {
+        let memo = &self.recipe_memo;
+        // Held across the computation: concurrent callers on one task
+        // wait for the single computation instead of repeating it.
+        let mut sets = memo.sets.lock().unwrap_or_else(|e| e.into_inner());
+        if let Some(hit) = sets.get(&participants) {
+            return Arc::clone(hit);
+        }
+        let set = Arc::new(self.compute_recipes(participants));
+        memo.computed.fetch_add(1, Ordering::Relaxed);
+        sets.insert(participants, Arc::clone(&set));
+        set
+    }
+
+    /// How many recipe sets this task (and its clones) actually computed.
+    #[cfg(test)]
+    fn recipe_sets_computed(&self) -> usize {
+        self.recipe_memo.computed.load(Ordering::Relaxed)
+    }
+
+    fn compute_recipes(&self, participants: ColorSet) -> Vec<Recipe> {
         let parent = self
             .complex
             .parent()
@@ -257,6 +294,69 @@ mod tests {
         assert_eq!(l.recipes(solo).len(), 1);
     }
 
+    fn rainbow3() -> Complex {
+        Complex::from_labeled_vertices(
+            3,
+            (0..3).map(|i| (ProcessId::new(i), i as u64)).collect(),
+            vec![vec![0, 1, 2]],
+        )
+    }
+
+    #[test]
+    fn clones_share_one_recipe_memo() {
+        let l = wait_free(3);
+        let copy = l.clone();
+        let full = ColorSet::full(3);
+        let first = l.recipes(full);
+        assert!(Arc::ptr_eq(&first, &copy.recipes(full)));
+        assert!(Arc::ptr_eq(&first, &l.recipes(full)));
+        assert_eq!(copy.recipe_sets_computed(), 1);
+        copy.recipes(ColorSet::from_indices([0, 2]));
+        assert_eq!(l.recipe_sets_computed(), 2);
+    }
+
+    #[test]
+    fn warmed_tasks_apply_exactly_like_fresh_ones() {
+        use crate::fair::fair_affine_task;
+        for alpha in [
+            act_adversary::AgreementFunction::k_concurrency(3, 2),
+            act_adversary::AgreementFunction::of_adversary(
+                &act_adversary::zoo::figure_5b_adversary(),
+            ),
+        ] {
+            let warmed = fair_affine_task(&alpha);
+            for inputs in [Complex::standard(3), rainbow3()] {
+                warmed.iterate(2);
+                let level1 = warmed.apply_to(&inputs);
+                for (got, want) in [
+                    (
+                        warmed.apply_to(&inputs),
+                        fair_affine_task(&alpha).apply_to(&inputs),
+                    ),
+                    (
+                        warmed.apply_to_shared(&level1),
+                        fair_affine_task(&alpha).apply_to_shared(&level1),
+                    ),
+                ] {
+                    assert_eq!(got, want);
+                    assert_eq!(got.encode_portable(), want.encode_portable());
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn two_towers_over_one_task_compute_each_recipe_set_once() {
+        use crate::fair::fair_affine_task;
+        let task = fair_affine_task(&act_adversary::AgreementFunction::k_concurrency(3, 1));
+        for inputs in [Complex::standard(3), rainbow3()] {
+            let level1 = task.apply_to_shared(&inputs);
+            task.apply_to_shared(&level1);
+        }
+        // Every facet of every level spans all three colors: one set, Π.
+        assert_eq!(task.recipe_sets_computed(), 1);
+    }
+
     #[test]
     fn iterate_once_reproduces_the_task() {
         let l = wait_free(2);
@@ -309,7 +409,7 @@ mod tests {
         let l = AffineTask::new("sync-2nd", chr2.sub_complex(kept));
         let recipes = l.recipes(ColorSet::full(3));
         assert_eq!(recipes.len(), 13);
-        for r in &recipes {
+        for r in recipes.iter() {
             assert_eq!(r[1].num_blocks(), 1, "second round is synchronous");
         }
         // Restricted participation: no sub-simplex of a sync-2nd facet has

@@ -29,9 +29,9 @@
 //!   clones the seeded cache so every measurement is a fresh orbit
 //!   transport, not a resident-tower lookup.
 //!
-//! The `speedup_vs_pr2*` metrics compare against the mean recorded by
-//! the PR-2 engine for the same instance in `BENCH_perf_scaling.json`
-//! (7 286 497 ns). `ACT_BENCH_SAMPLES` overrides the per-benchmark
+//! The `speedup_vs_pr2*` metrics compare against the mean the PR-2
+//! engine recorded for the same instance (7 286 497 ns); this bench's
+//! `p4_map_search/2set_1res/default` row is the only live timing of it. `ACT_BENCH_SAMPLES` overrides the per-benchmark
 //! sample count (default 10) so CI smoke runs can keep this cheap.
 
 use std::sync::Arc;
@@ -75,8 +75,7 @@ fn bench(c: &mut Criterion) {
     let inputs = t.rainbow_inputs();
     let domain = affine_domain(&r_a, &inputs, 1);
 
-    // The PR-2 reference instance, same group id as perf_scaling for
-    // direct comparison across reports.
+    // The PR-2 reference instance.
     let mut g = c.benchmark_group("p4_map_search");
     g.sample_size(n);
     g.bench_with_input(BenchmarkId::new("2set_1res", "serial"), &(), |b, ()| {

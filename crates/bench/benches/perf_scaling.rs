@@ -1,15 +1,17 @@
-//! P1–P5 — performance envelope for downstream users: scaling of the
-//! subdivision machinery, `R_A` construction, `setcon`, the map search,
-//! and the serial-vs-parallel speedup of the subdivision engine, as a
-//! function of system size.
+//! P1–P3, P5, P7 — performance envelope for downstream users: scaling
+//! of the subdivision machinery, `R_A` construction, `setcon`, the
+//! serial-vs-parallel speedup of the subdivision engine, and the cost of
+//! a tower's canonical key, as a function of system size. Each row id
+//! names one method; the map search (P4) lives in `perf_mapsearch`.
 
 use act_adversary::{Adversary, AgreementFunction, SetconSolver};
 use act_affine::{fair_affine_task, fair_census_quotiented};
 use act_bench::{banner, metric};
-use act_tasks::{find_carried_map, SetConsensus};
-use act_topology::{subdivision_threads, ColorSet, Complex};
+use act_tasks::SetConsensus;
+use act_topology::{
+    canonical_pair_hashes, permute_complex, subdivision_threads, ColorPerm, ColorSet, Complex,
+};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use fact::affine_domain;
 use std::time::Instant;
 
 /// The mean of row `id`, which must have been reported in this run.
@@ -94,7 +96,11 @@ fn bench(c: &mut Criterion) {
             b.iter(|| fair_affine_task(&alpha).complex().facet_count())
         });
     }
-    for n in 3..=4usize {
+    // The n = 5 row was previously unreachable: the direct build
+    // materializes Chr² s (292 681 facets at n = 5) before Definition 9
+    // prunes it; the quotiented census never builds it and lands in tens
+    // of milliseconds.
+    for n in 3..=5usize {
         g.bench_with_input(BenchmarkId::new("r_a_kof_quotient", n), &n, |b, &n| {
             let alpha = AgreementFunction::k_concurrency(n, n - 1);
             b.iter(|| {
@@ -104,18 +110,6 @@ fn bench(c: &mut Criterion) {
             })
         });
     }
-    // Previously unreachable: the direct build materializes Chr² s
-    // (292 681 facets at n = 5) before Definition 9 prunes it; the
-    // quotiented census never builds it and lands in tens of
-    // milliseconds.
-    g.bench_with_input(BenchmarkId::new("r_a_kof", 5usize), &5usize, |b, &n| {
-        let alpha = AgreementFunction::k_concurrency(n, n - 1);
-        b.iter(|| {
-            fair_census_quotiented(&alpha)
-                .expect("k-concurrency is color-symmetric")
-                .facet_count
-        })
-    });
     g.finish();
     let n5 = fair_census_quotiented(&AgreementFunction::k_concurrency(5, 4))
         .expect("k-concurrency is color-symmetric");
@@ -175,14 +169,60 @@ fn bench(c: &mut Criterion) {
         .unwrap_or(p5_serial);
     metric("p5_parallel_speedup_x100", p5_serial * 100 / p5_best.max(1));
 
-    // P4: map search on the solvable side.
-    c.bench_function("p4_map_search_2set_1res", |b| {
-        let alpha = AgreementFunction::of_adversary(&Adversary::t_resilient(3, 1));
-        let r_a = fair_affine_task(&alpha);
-        let t = SetConsensus::new(3, 2, &[0, 1, 2]);
-        let domain = affine_domain(&r_a, &t.rainbow_inputs(), 1);
-        b.iter(|| find_carried_map(&t, &domain, 3_000_000).is_found())
-    });
+    // P7: the canonical key of an n = 4 tower — the joint S_n-minimal
+    // encoding of (R_A, rainbow inputs) that keys the DomainCache and the
+    // tower store. `materialize` builds each of the 24 permuted complexes
+    // and encodes it (the former method); `direct` encodes each permuted
+    // image straight from the unpermuted tables. Both must agree before
+    // any timing.
+    let alpha = AgreementFunction::of_adversary(&Adversary::t_resilient(4, 1));
+    let r_a = fair_affine_task(&alpha);
+    let inputs = SetConsensus::new(4, 2, &[0, 1, 2]).rainbow_inputs();
+    let pair = (r_a.complex(), &inputs);
+    assert_eq!(
+        materialized_pair_hashes(pair.0, pair.1),
+        canonical_pair_hashes(pair.0, pair.1),
+        "direct canonical key must equal the materialized one"
+    );
+    let mut g = c.benchmark_group("p7_canonical");
+    g.bench_with_input(
+        BenchmarkId::new("pair_r_a_n4", "materialize"),
+        &pair,
+        |b, (a, i)| b.iter(|| materialized_pair_hashes(a, i).0),
+    );
+    g.bench_with_input(
+        BenchmarkId::new("pair_r_a_n4", "direct"),
+        &pair,
+        |b, (a, i)| b.iter(|| canonical_pair_hashes(a, i).0),
+    );
+    g.finish();
+    let materialize = row_mean_ns("p7_canonical/pair_r_a_n4/materialize");
+    let direct = row_mean_ns("p7_canonical/pair_r_a_n4/direct");
+    metric("canonical_speedup_x100", materialize * 100 / direct.max(1));
+    println!("n = 4 canonical pair key: materialize {materialize} ns vs direct {direct} ns");
+}
+
+/// The canonical pair key by its definition: build `π · a` and `π · b`
+/// for every `π ∈ S_n`, encode both, keep the lexicographically smallest
+/// pair (first permutation on ties).
+fn materialized_pair_hashes(a: &Complex, b: &Complex) -> (u128, u128, ColorPerm) {
+    let mut best: Option<(Vec<u8>, Vec<u8>, ColorPerm)> = None;
+    for perm in ColorPerm::all(a.num_processes()) {
+        let ba = permute_complex(a, &perm).encode_portable();
+        let bb = permute_complex(b, &perm).encode_portable();
+        if best
+            .as_ref()
+            .is_none_or(|(xa, xb, _)| (&ba, &bb) < (xa, xb))
+        {
+            best = Some((ba, bb, perm));
+        }
+    }
+    let (ba, bb, perm) = best.expect("S_n is non-empty");
+    (
+        act_obs::content_hash128(&ba),
+        act_obs::content_hash128(&bb),
+        perm,
+    )
 }
 
 criterion_group! {

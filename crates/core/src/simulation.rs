@@ -44,7 +44,7 @@ pub struct AffineIteration {
 pub struct AffineRunGenerator<'a> {
     task: &'a AffineTask,
     participants: ColorSet,
-    recipes: Vec<act_topology::Recipe>,
+    recipes: std::sync::Arc<Vec<act_topology::Recipe>>,
 }
 
 impl<'a> AffineRunGenerator<'a> {

@@ -168,6 +168,27 @@ struct CanonKey {
     to_canonical: ColorPerm,
 }
 
+impl CanonKey {
+    /// Jointly canonicalizes `(affine, inputs)`, traced as a
+    /// `solver.canonical` span: one encoding pass per element of `S_n`.
+    fn of(affine: &Complex, inputs: &Complex) -> CanonKey {
+        let span = act_obs::span("solver.canonical");
+        let (affine_hash, inputs_hash, to_canonical) = canonical_pair_hashes(affine, inputs);
+        if act_obs::enabled() {
+            span.finish()
+                .u64("n", inputs.num_processes() as u64)
+                .u64("affine_facets", affine.facet_count() as u64)
+                .u64("input_facets", inputs.facet_count() as u64)
+                .emit();
+        }
+        CanonKey {
+            affine: affine_hash,
+            inputs: inputs_hash,
+            to_canonical,
+        }
+    }
+}
+
 /// One cached tower `R_A^1(I) ⊆ … ⊆ R_A^ℓ(I)` and the key it serves.
 #[derive(Clone, Debug)]
 struct Tower {
@@ -197,13 +218,7 @@ impl Tower {
     /// cross-frame probe or a persistence round actually needs it.
     fn canon_key(&mut self) -> &CanonKey {
         if self.canon.is_none() {
-            let (affine, inputs, to_canonical) =
-                canonical_pair_hashes(&self.affine_src, &self.inputs);
-            self.canon = Some(CanonKey {
-                affine,
-                inputs,
-                to_canonical,
-            });
+            self.canon = Some(CanonKey::of(&self.affine_src, &self.inputs));
         }
         self.canon.as_ref().expect("just computed")
     }
@@ -470,12 +485,7 @@ impl DomainCache {
                 .iter()
                 .any(|t| t.inputs.num_processes() == n && !t.levels.is_empty())
         {
-            let (qa, qi, to_canonical) = canonical_pair_hashes(affine.complex(), inputs);
-            let query_canon = CanonKey {
-                affine: qa,
-                inputs: qi,
-                to_canonical,
-            };
+            let query_canon = CanonKey::of(affine.complex(), inputs);
             for i in 0..self.towers.len() {
                 if self.towers[i].inputs.num_processes() != n || self.towers[i].levels.is_empty() {
                     continue;

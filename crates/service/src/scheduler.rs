@@ -34,6 +34,7 @@ use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::time::Duration;
 
+use act_adversary::AgreementFunction;
 use act_affine::{fair_affine_task, AffineTask};
 use act_tasks::{SearchConfig, SetConsensus};
 use act_topology::ColorSet;
@@ -178,10 +179,15 @@ struct SchedState {
     draining: bool,
 }
 
-/// A warmed per-agreement-function tower slot: the affine task `R_A` and
-/// the incremental `R_A^ℓ` domain cache.
+/// A warmed per-agreement-function tower slot: the agreement function,
+/// its affine task `R_A` and the incremental `R_A^ℓ` domain cache.
+///
+/// A slot enters the slot map unbuilt; the first job to lock it builds
+/// `R_A` under the slot's own mutex, so a build never holds the slot map
+/// and jobs of other (resident) slots proceed meanwhile.
 struct TowerSlot {
-    affine: AffineTask,
+    alpha: AgreementFunction,
+    affine: Option<AffineTask>,
     cache: DomainCache,
 }
 
@@ -396,8 +402,9 @@ impl Scheduler {
         }
     }
 
-    /// The warmed tower slot `tower_key` of a query, building (and
-    /// LRU-evicting) as needed. Building fails when the model admits no
+    /// The tower slot `tower_key` of a query, inserting an unbuilt one
+    /// (and LRU-evicting) as needed; `R_A` is built later, under the
+    /// slot's own lock ([`TowerSlot`]). Fails when the model admits no
     /// runs.
     fn tower_slot(
         &self,
@@ -423,7 +430,8 @@ impl Scheduler {
             cache.set_persistence(Arc::clone(ts) as Arc<dyn fact::TowerPersistence>);
         }
         let slot = Arc::new(Mutex::new(TowerSlot {
-            affine: fair_affine_task(&alpha),
+            alpha,
+            affine: None,
             cache,
         }));
         towers
@@ -464,10 +472,15 @@ impl Scheduler {
             config = config.with_deadline(Duration::from_millis(ms));
         }
         let mut tower = slot.lock().unwrap_or_else(|e| e.into_inner());
-        let TowerSlot { affine, cache } = &mut *tower;
+        let TowerSlot {
+            alpha,
+            affine,
+            cache,
+        } = &mut *tower;
         SERVE_ENGINE_RUNS.add(1);
         let span = act_obs::span("serve.engine");
         let verdict = catch_unwind(AssertUnwindSafe(|| {
+            let affine = affine.get_or_insert_with(|| fair_affine_task(alpha));
             deepening_verdict(cache, &task, affine, query.iters, &config)
         }));
         span.finish()
@@ -477,8 +490,9 @@ impl Scheduler {
         let verdict = match verdict {
             Ok(v) => v,
             Err(_) => {
-                // A panicked engine may have left the tower half-built:
-                // drop the slot so the next job rebuilds it cleanly.
+                // A panicked engine (or R_A build) may have left the
+                // tower half-built: drop the slot so the next job rebuilds
+                // it cleanly.
                 drop(tower);
                 self.towers
                     .lock()
@@ -648,6 +662,40 @@ mod tests {
             }
         }
         assert_ne!(query("t-res:4:2", 1).tower_key(), key);
+    }
+
+    #[test]
+    fn a_slot_under_construction_does_not_block_the_slot_map() {
+        let sched = Scheduler::new(Arc::new(VerdictStore::in_memory()), ServeConfig::default());
+        let n4 = SolveQuery {
+            model: ModelSpec::parse("t-res:4:1", false).unwrap(),
+            task: TaskSpec::set_consensus(4, 1).unwrap(),
+            iters: 1,
+            deadline_ms: None,
+        };
+        let building = sched.tower_slot(&n4.tower_key(), &n4).unwrap();
+        // Hold the slot's lock, as the worker building its R_A does.
+        let guard = building.lock().unwrap();
+        assert!(guard.affine.is_none(), "slots enter the map unbuilt");
+        let (tx, rx) = channel();
+        let other = Arc::clone(&sched);
+        let lookup = std::thread::spawn(move || {
+            for q in [query(1), n4] {
+                let slot = other.tower_slot(&q.tower_key(), &q).unwrap();
+                tx.send(Arc::as_ptr(&slot) as usize).unwrap();
+            }
+        });
+        // A different key gets its own (unbuilt) slot, and the held key
+        // is handed out too — neither waits for the held lock.
+        let fresh = rx.recv_timeout(Duration::from_secs(10)).expect("other key");
+        let same = rx.recv_timeout(Duration::from_secs(10)).expect("held key");
+        assert_ne!(fresh, Arc::as_ptr(&building) as usize);
+        assert_eq!(same, Arc::as_ptr(&building) as usize);
+        drop(guard);
+        lookup.join().unwrap();
+        let q = query(1);
+        let fresh = sched.tower_slot(&q.tower_key(), &q).unwrap();
+        assert!(fresh.lock().unwrap().affine.is_none());
     }
 
     fn kind(s: &Submitted) -> &'static str {

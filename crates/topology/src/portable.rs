@@ -18,6 +18,7 @@ use std::sync::Arc;
 use crate::color::{ColorSet, ProcessId, MAX_PROCESSES};
 use crate::complex::{Complex, Structure, VertexData};
 use crate::simplex::{Simplex, VertexId};
+use crate::symmetry::ColorPerm;
 
 /// Magic prefix of the portable encoding (`ACTC`: act-topology complex).
 const MAGIC: [u8; 4] = *b"ACTC";
@@ -44,11 +45,11 @@ fn err<T>(msg: impl Into<String>) -> Result<T, PortableError> {
     Err(PortableError(msg.into()))
 }
 
-struct Writer {
-    out: Vec<u8>,
+struct Writer<'a> {
+    out: &'a mut Vec<u8>,
 }
 
-impl Writer {
+impl Writer<'_> {
     fn u32(&mut self, v: u32) {
         self.out.extend_from_slice(&v.to_le_bytes());
     }
@@ -124,6 +125,29 @@ impl Complex {
     /// Encodes the whole subdivision chain (base first) into the versioned
     /// portable byte form. `decode_portable` round-trips to an `==` chain.
     pub fn encode_portable(&self) -> Vec<u8> {
+        let mut out = Vec::new();
+        self.encode_chain(&mut out, |p| p, |cs| cs);
+        out
+    }
+
+    /// Writes the encoding of the relabeled complex `π · self` into `out`
+    /// (cleared first) without building it: byte-equal to
+    /// `permute_complex(self, perm).encode_portable()`. A color
+    /// permutation moves only each vertex's color and `base_colors`;
+    /// carriers, labels and facets are vertex-id sets and are written
+    /// unchanged. This is the inner loop of the canonical forms in
+    /// [`crate::symmetry`], which encode one image per element of `S_n`.
+    pub(crate) fn encode_portable_permuted(&self, perm: &ColorPerm, out: &mut Vec<u8>) {
+        out.clear();
+        self.encode_chain(out, |p| perm.apply(p), |cs| perm.apply_colors(cs));
+    }
+
+    fn encode_chain(
+        &self,
+        out: &mut Vec<u8>,
+        color: impl Fn(ProcessId) -> ProcessId,
+        colors: impl Fn(ColorSet) -> ColorSet,
+    ) {
         // Collect the chain base-first.
         let mut chain: Vec<&Complex> = Vec::new();
         let mut cur = Some(self);
@@ -133,7 +157,7 @@ impl Complex {
         }
         chain.reverse();
 
-        let mut w = Writer { out: Vec::new() };
+        let mut w = Writer { out };
         w.out.extend_from_slice(&MAGIC);
         w.u32(PORTABLE_FORMAT_VERSION);
         w.u32(self.num_processes() as u32);
@@ -142,18 +166,17 @@ impl Complex {
             let verts = &level.structure.vertices;
             w.u32(verts.len() as u32);
             for v in verts {
-                w.u32(v.color.index() as u32);
+                w.u32(color(v.color).index() as u32);
                 w.u64(v.label);
                 w.simplex(&v.carrier);
                 w.simplex(&v.base_carrier);
-                w.u64(v.base_colors.bits());
+                w.u64(colors(v.base_colors).bits());
             }
             w.u32(level.facets.len() as u32);
             for f in level.facets.iter() {
                 w.simplex(f);
             }
         }
-        w.out
     }
 
     /// Rebuilds a complex from [`Complex::encode_portable`] bytes.

@@ -433,7 +433,10 @@ impl Complex {
 
     /// Recipe-driven subdivision: for every facet `σ` of this complex,
     /// generates the facets of `Chr^ℓ σ` whose recipe (relative to `σ`)
-    /// appears in `recipes(χ(σ))`, then glues shared faces.
+    /// appears in `recipes(χ(σ))`, then glues shared faces. `recipes` is
+    /// called once per distinct facet color set and may return a `Vec` or
+    /// an already shared `Arc<Vec<Recipe>>` (a memoized set is then used
+    /// without copying).
     ///
     /// With `recipes = all_recipes(·, 1)` this is `Chr`; with the recipe set
     /// of an affine task `L` it computes one iteration step of `L` applied
@@ -446,9 +449,10 @@ impl Complex {
     ///
     /// Panics if a recipe's ground set does not match the facet's colors or
     /// its length differs from `depth`.
-    pub fn subdivide_patterned<F>(&self, depth: usize, recipes: F) -> Complex
+    pub fn subdivide_patterned<F, R>(&self, depth: usize, recipes: F) -> Complex
     where
-        F: Fn(ColorSet) -> Vec<Recipe>,
+        F: Fn(ColorSet) -> R,
+        R: Into<Arc<Vec<Recipe>>>,
     {
         self.subdivide_patterned_threaded(depth, recipes, subdivision_threads())
     }
@@ -461,14 +465,15 @@ impl Complex {
     /// in chunk order — reproducing the serial first-occurrence order of
     /// every vertex and facet, so the result is byte-identical for every
     /// thread count (`threads = 1` is the serial build).
-    pub fn subdivide_patterned_threaded<F>(
+    pub fn subdivide_patterned_threaded<F, R>(
         &self,
         depth: usize,
         recipes: F,
         threads: usize,
     ) -> Complex
     where
-        F: Fn(ColorSet) -> Vec<Recipe>,
+        F: Fn(ColorSet) -> R,
+        R: Into<Arc<Vec<Recipe>>>,
     {
         assert!(depth >= 1, "subdivision depth must be at least 1");
         let span = act_obs::span("subdivide.patterned");
@@ -485,11 +490,11 @@ impl Complex {
                 "subdivide_patterned requires a chromatic complex"
             );
             recipe_cache.entry(colors).or_insert_with(|| {
-                let set = recipes(colors);
-                for recipe in &set {
+                let set: Arc<Vec<Recipe>> = recipes(colors).into();
+                for recipe in set.iter() {
                     assert_eq!(recipe.len(), depth, "recipe depth mismatch");
                 }
-                Arc::new(set)
+                set
             });
         }
 
@@ -555,9 +560,10 @@ impl Complex {
     ///
     /// Emits a `subdivision.orbit` span with the orbit census and the
     /// transported/direct split.
-    pub fn subdivide_patterned_orbit_shared<F>(&self, depth: usize, recipes: F) -> Complex
+    pub fn subdivide_patterned_orbit_shared<F, R>(&self, depth: usize, recipes: F) -> Complex
     where
-        F: Fn(ColorSet) -> Vec<Recipe>,
+        F: Fn(ColorSet) -> R,
+        R: Into<Arc<Vec<Recipe>>>,
     {
         assert!(depth >= 1, "subdivision depth must be at least 1");
         let group = symmetry_group_inferred(self);
@@ -575,11 +581,11 @@ impl Complex {
                 "subdivide_patterned requires a chromatic complex"
             );
             recipe_cache.entry(colors).or_insert_with(|| {
-                let set = recipes(colors);
-                for recipe in &set {
+                let set: Arc<Vec<Recipe>> = recipes(colors).into();
+                for recipe in set.iter() {
                     assert_eq!(recipe.len(), depth, "recipe depth mismatch");
                 }
-                Arc::new(set)
+                set
             });
         }
 

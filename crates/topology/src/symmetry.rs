@@ -723,25 +723,28 @@ pub fn permute_complex(complex: &Complex, perm: &ColorPerm) -> Complex {
 /// permutation have equal canonical forms, so canonical content hashes key
 /// caches by symmetry class. For `n >` [`SYMMETRY_MAX_DEGREE`] the complex
 /// is returned unchanged with the identity.
+///
+/// Cost: one encoding pass per permutation, written straight from this
+/// complex's tables under the permuted colors — no permuted complex is
+/// built until the winner is known, and then only that one.
 pub fn canonical_complex(complex: &Complex) -> (Complex, ColorPerm) {
     let n = complex.num_processes();
     if n > SYMMETRY_MAX_DEGREE {
         return (complex.clone(), ColorPerm::identity(n));
     }
-    let mut best: Option<(Vec<u8>, Complex, ColorPerm)> = None;
-    for perm in ColorPerm::all(n) {
-        let image = permute_complex(complex, &perm);
-        let bytes = image.encode_portable();
-        let better = match &best {
-            None => true,
-            Some((b, _, _)) => bytes < *b,
-        };
-        if better {
-            best = Some((bytes, image, perm));
+    let mut perms = ColorPerm::all(n).into_iter();
+    let mut best_perm = perms.next().expect("S_n is non-empty");
+    let mut best = Vec::new();
+    complex.encode_portable_permuted(&best_perm, &mut best);
+    let mut bytes = Vec::new();
+    for perm in perms {
+        complex.encode_portable_permuted(&perm, &mut bytes);
+        if bytes < best {
+            std::mem::swap(&mut best, &mut bytes);
+            best_perm = perm;
         }
     }
-    let (_, image, perm) = best.expect("S_n is non-empty");
-    (image, perm)
+    (permute_complex(complex, &best_perm), best_perm)
 }
 
 /// Canonicalizes a *pair* of complexes jointly: the permutation minimizing
@@ -749,37 +752,46 @@ pub fn canonical_complex(complex: &Complex) -> (Complex, ColorPerm) {
 /// content hashes of both components and the minimizing permutation. Used
 /// to key domain caches by the symmetry class of an (affine task, inputs)
 /// query so color-permuted queries share one tower.
+///
+/// Cost: one encoding pass of `a` per permutation (and of `b` only when
+/// `π·a` ties or beats the best so far), written straight from the
+/// complexes' tables under the permuted colors; no complex is built.
 pub fn canonical_pair_hashes(a: &Complex, b: &Complex) -> (u128, u128, ColorPerm) {
     let n = a.num_processes();
     assert_eq!(n, b.num_processes(), "pair must share a process count");
     if n > SYMMETRY_MAX_DEGREE {
         return (a.content_hash(), b.content_hash(), ColorPerm::identity(n));
     }
-    let mut best: Option<(Vec<u8>, Vec<u8>, ColorPerm)> = None;
-    for perm in ColorPerm::all(n) {
-        let bytes_a = permute_complex(a, &perm).encode_portable();
+    let mut perms = ColorPerm::all(n).into_iter();
+    let mut best_perm = perms.next().expect("S_n is non-empty");
+    let (mut best_a, mut best_b) = (Vec::new(), Vec::new());
+    a.encode_portable_permuted(&best_perm, &mut best_a);
+    b.encode_portable_permuted(&best_perm, &mut best_b);
+    let (mut bytes_a, mut bytes_b) = (Vec::new(), Vec::new());
+    for perm in perms {
+        a.encode_portable_permuted(&perm, &mut bytes_a);
         // Compare the first component before paying for the second.
-        if let Some((ba, bb, _)) = &best {
-            match bytes_a.cmp(ba) {
-                std::cmp::Ordering::Greater => continue,
-                std::cmp::Ordering::Equal => {
-                    let bytes_b = permute_complex(b, &perm).encode_portable();
-                    if bytes_b < *bb {
-                        best = Some((bytes_a, bytes_b, perm));
-                    }
-                    continue;
-                }
-                std::cmp::Ordering::Less => {}
+        let better = match bytes_a.cmp(&best_a) {
+            std::cmp::Ordering::Greater => false,
+            std::cmp::Ordering::Equal => {
+                b.encode_portable_permuted(&perm, &mut bytes_b);
+                bytes_b < best_b
             }
+            std::cmp::Ordering::Less => {
+                b.encode_portable_permuted(&perm, &mut bytes_b);
+                true
+            }
+        };
+        if better {
+            std::mem::swap(&mut best_a, &mut bytes_a);
+            std::mem::swap(&mut best_b, &mut bytes_b);
+            best_perm = perm;
         }
-        let bytes_b = permute_complex(b, &perm).encode_portable();
-        best = Some((bytes_a, bytes_b, perm));
     }
-    let (bytes_a, bytes_b, perm) = best.expect("S_n is non-empty");
     (
-        act_obs::content_hash128(&bytes_a),
-        act_obs::content_hash128(&bytes_b),
-        perm,
+        act_obs::content_hash128(&best_a),
+        act_obs::content_hash128(&best_b),
+        best_perm,
     )
 }
 
@@ -959,6 +971,47 @@ mod tests {
             let canon1 = permute_complex(&chr, &perm);
             let canon2 = permute_complex(&permute_complex(&chr, &p), &perm2);
             assert_eq!(canon1, canon2);
+        }
+    }
+
+    /// The canonical forms rest on this identity; `tests/canonical_key.rs`
+    /// checks the forms themselves against the materializing definition.
+    /// Cases: standard towers, a labeled (rainbow) base and its
+    /// subdivision, and a sub-complex keeping only the facets around one
+    /// vertex.
+    #[test]
+    fn permuted_encoding_is_the_encoding_of_the_permuted_complex() {
+        let rainbow = Complex::from_labeled_vertices(
+            3,
+            vec![
+                (ProcessId::new(0), 0),
+                (ProcessId::new(1), 1),
+                (ProcessId::new(2), 0),
+            ],
+            vec![vec![0, 1, 2]],
+        );
+        let chr2 = Complex::standard(3).iterated_subdivision(2);
+        let pivot = chr2.facets()[7].vertices()[0];
+        let lopsided =
+            chr2.sub_complex(chr2.facets().iter().filter(|f| f.contains(pivot)).cloned());
+        let cases = [
+            Complex::standard(2).chromatic_subdivision(),
+            Complex::standard(4).chromatic_subdivision(),
+            chr2,
+            rainbow.chromatic_subdivision(),
+            rainbow,
+            lopsided,
+        ];
+        let mut bytes = Vec::new();
+        for c in &cases {
+            for perm in ColorPerm::all(c.num_processes()) {
+                c.encode_portable_permuted(&perm, &mut bytes);
+                assert_eq!(
+                    bytes,
+                    permute_complex(c, &perm).encode_portable(),
+                    "{perm:?}"
+                );
+            }
         }
     }
 
