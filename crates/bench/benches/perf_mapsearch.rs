@@ -29,6 +29,15 @@
 //!   clones the seeded cache so every measurement is a fresh orbit
 //!   transport, not a resident-tower lookup.
 //!
+//! The `p6_no_map/wait_free3_l2` group answers one consensus no-map —
+//! `R_A²` of the wait-free model on the two-value rainbow inputs, the
+//! largest `n = 3` domain the solver meets — two ways: `search` exhausts
+//! the carried-map CSP, `components` finds and checks the components
+//! certificate ([`act_tasks::certificate`]). `p6_sperner/wait_free3_l2`
+//! times the one-pass Sperner certificate on the same domain, as the
+//! solver runs it for 2-set consensus. CI enforces
+//! `components_speedup_x100 >= 400`.
+//!
 //! The `speedup_vs_pr2*` metrics compare against the mean the PR-2
 //! engine recorded for the same instance (7 286 497 ns); this bench's
 //! `p4_map_search/2set_1res/default` row is the only live timing of it. `ACT_BENCH_SAMPLES` overrides the per-benchmark
@@ -41,8 +50,8 @@ use act_affine::{fair_affine_task, AffineTask};
 use act_bench::{banner, metric};
 use act_service::TowerStore;
 use act_tasks::{
-    consensus, find_carried_map, find_carried_map_with_config, find_carried_map_with_stats,
-    SearchConfig, SetConsensus, Task,
+    certificate, consensus, find_carried_map, find_carried_map_with_config,
+    find_carried_map_with_stats, sperner_certificate, SearchConfig, SetConsensus, Task,
 };
 use act_topology::{permute_complex, ColorPerm};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
@@ -96,6 +105,33 @@ fn bench(c: &mut Criterion) {
         let t = consensus(2, &[0, 1]);
         let domain = t.inputs().iterated_subdivision(2);
         b.iter(|| assert!(find_carried_map(&t, &domain, 1_000_000).is_unsolvable()))
+    });
+
+    // The certificate routes against the search on one no-map domain.
+    let wait_free = fair_affine_task(&AgreementFunction::of_adversary(&Adversary::wait_free(3)));
+    let no_map = consensus(3, &[0, 1]);
+    let wf_domain = affine_domain(&wait_free, &no_map.rainbow_inputs(), 2);
+    let certified = certificate::find(&wf_domain).expect("consensus is not wait-free solvable");
+    assert!(certificate::check(&wf_domain, &certified));
+    assert!(find_carried_map(&no_map, &wf_domain, 5_000_000).is_unsolvable());
+    let mut g = c.benchmark_group("p6_no_map");
+    g.sample_size(n);
+    g.bench_with_input(BenchmarkId::new("wait_free3_l2", "search"), &(), |b, ()| {
+        b.iter(|| assert!(find_carried_map(&no_map, &wf_domain, 5_000_000).is_unsolvable()))
+    });
+    g.bench_with_input(
+        BenchmarkId::new("wait_free3_l2", "components"),
+        &(),
+        |b, ()| {
+            b.iter(|| {
+                let cert = certificate::find(&wf_domain).expect("certified above");
+                assert!(certificate::check(&wf_domain, &cert))
+            })
+        },
+    );
+    g.finish();
+    c.bench_function("p6_sperner/wait_free3_l2", |b| {
+        b.iter(|| assert!(sperner_certificate(&wf_domain)))
     });
 
     // Domain construction: from-scratch rebuilds vs the three
@@ -209,6 +245,16 @@ fn bench(c: &mut Criterion) {
     println!(
         "R_A²(I): scratch {scratch} ns, extend {extend} ns, cached {cached} ns, \
          warm restart {warm} ns, orbit hit {orbit} ns"
+    );
+
+    let search = row_mean_ns("p6_no_map/wait_free3_l2/search");
+    let components = row_mean_ns("p6_no_map/wait_free3_l2/components");
+    let sperner = row_mean_ns("p6_sperner/wait_free3_l2");
+    metric("components_speedup_x100", search * 100 / components.max(1));
+    println!(
+        "consensus no-map on R_A²(I), wait-free n = 3 ({} facets): search {search} ns, \
+         components {components} ns; Sperner certificate {sperner} ns",
+        wf_domain.facet_count()
     );
 
     // Residual-support effectiveness on the reference search (telemetry

@@ -77,6 +77,6 @@ pub use solver::{
     affine_domain, affine_domain_cached, set_consensus_verdict, set_consensus_verdict_cached,
     set_consensus_verdict_with_config, solve_in_fair_model, solve_in_model,
     solve_in_model_with_config, DomainCache, DomainExpansion, Solvability, TowerPersistence,
-    DOMAIN_CACHE_EVICTIONS, DOMAIN_CACHE_ORBIT_HITS, LEADER_MAP_REJECTED,
+    COMPONENTS_REJECTED, DOMAIN_CACHE_EVICTIONS, DOMAIN_CACHE_ORBIT_HITS, LEADER_MAP_REJECTED,
 };
 pub use spec::{ModelSpec, TaskSpec, MAX_PROCESSES};

@@ -3,8 +3,8 @@
 //! simplicial map from iterations of `R_A` applied to the task's inputs.
 //!
 //! [`set_consensus_verdict_with_config`] routes each `k`-set consensus
-//! query one of three ways, reported as the `route` of its
-//! `solver.set_consensus` event:
+//! query one of four ways, tried in this order and reported as the
+//! `route` of its `solver.set_consensus` event:
 //!
 //! * `sperner` — `k = n − 1` on a subdivided simplex: unsolvable by
 //!   Sperner's lemma, no search;
@@ -14,14 +14,20 @@
 //!   built and checked with [`verify_carried_map`]. A witness that fails
 //!   the check is a bug: it is counted by [`LEADER_MAP_REJECTED`],
 //!   reported by a `solver.leader_map.rejected` event, and the query
-//!   falls through to the search;
+//!   falls through to the next route;
+//! * `components` — `k = 1` with a connected component of the domain
+//!   whose carriers share no input value ([`act_tasks::certificate`]):
+//!   unsolvable, no search. The certificate is re-verified by its own
+//!   checker; one that fails it is a bug, counted by
+//!   [`COMPONENTS_REJECTED`], reported by a `solver.components.rejected`
+//!   event, and left to the search;
 //! * `search` — the carried-map CSP of [`act_tasks`] for everything
-//!   else, in particular the unsolvable side.
+//!   else.
 
 use act_adversary::AgreementFunction;
 use act_affine::AffineTask;
 use act_tasks::{
-    find_carried_map_with_config, verify_carried_map, SearchConfig, SearchResult, Task,
+    certificate, find_carried_map_with_config, verify_carried_map, SearchConfig, SearchResult, Task,
 };
 use act_topology::{
     canonical_pair_hashes, permute_complex, ColorPerm, Complex, VertexMap, SYMMETRY_MAX_DEGREE,
@@ -123,6 +129,14 @@ pub trait TowerPersistence: Send + Sync {
 /// signal; the affected queries were answered by the search instead.
 pub static LEADER_MAP_REJECTED: act_obs::Counter =
     act_obs::Counter::new("solver.leader_map.rejected");
+
+/// Process-global count of components certificates that failed
+/// [`act_tasks::certificate::check`] (see
+/// [`set_consensus_verdict_with_config`]). The finder and the checker
+/// read the same domain, so any count is a bug signal; the affected
+/// queries were answered by the search instead.
+pub static COMPONENTS_REJECTED: act_obs::Counter =
+    act_obs::Counter::new("solver.components.rejected");
 
 /// Process-global count of towers evicted from [`DomainCache`]s (the
 /// bounded per-cache LRU overflowed). Pairs with the `domain.cache.evict`
@@ -742,7 +756,8 @@ pub fn set_consensus_verdict_cached(
 /// deadline, which surfaces as [`Solvability::TimedOut`].
 ///
 /// Tries the Sperner certificate, then the leader-map witness, then the
-/// search (see the module documentation).
+/// components certificate, then the search (see the module
+/// documentation).
 pub fn set_consensus_verdict_with_config(
     cache: &mut DomainCache,
     task: &act_tasks::SetConsensus,
@@ -774,22 +789,20 @@ fn set_consensus_verdict_routed(
     let inputs = task.rainbow_inputs();
     let domain = cache.domain(affine, &inputs, iterations).clone();
     let span = act_obs::span("solver.set_consensus");
-    if task.k() == n - 1 && act_tasks::is_subdivided_simplex(&domain) {
-        // Any carried map would be a Sperner labeling with no rainbow
-        // facet; the lemma forces an odd number of them.
-        if act_tasks::sperner_certificate(&domain) {
-            if act_obs::enabled() {
-                span.finish()
-                    .str("route", "sperner")
-                    .str("verdict", "no-map")
-                    .u64("k", task.k() as u64)
-                    .u64("domain_facets", domain.facet_count() as u64)
-                    .emit();
-            }
-            return Solvability::NoMapUpTo {
-                max_iterations: iterations,
-            };
+    // Any carried map would be a Sperner labeling with no rainbow facet;
+    // the lemma forces an odd number of them.
+    if task.k() == n - 1 && act_tasks::sperner_certificate(&domain) {
+        if act_obs::enabled() {
+            span.finish()
+                .str("route", "sperner")
+                .str("verdict", "no-map")
+                .u64("k", task.k() as u64)
+                .u64("domain_facets", domain.facet_count() as u64)
+                .emit();
         }
+        return Solvability::NoMapUpTo {
+            max_iterations: iterations,
+        };
     }
     if let Some(map) = alpha.and_then(|a| leader_map_witness_for(task, a, &domain)) {
         if verify_carried_map(task, &domain, &map) {
@@ -809,6 +822,35 @@ fn set_consensus_verdict_routed(
                 .u64("k", task.k() as u64)
                 .u64("domain_facets", domain.facet_count() as u64)
                 .emit();
+        }
+    }
+    // A consensus map is constant on each component and decides an input
+    // of every carrier there.
+    if task.k() == 1 {
+        if let Some(cert) = certificate::find(&domain) {
+            if certificate::check(&domain, &cert) {
+                if act_obs::enabled() {
+                    span.finish()
+                        .str("route", "components")
+                        .str("verdict", "no-map")
+                        .u64("k", 1)
+                        .u64("domain_facets", domain.facet_count() as u64)
+                        .u64("components", cert.components as u64)
+                        .u64("component_vertices", cert.vertices.len() as u64)
+                        .emit();
+                }
+                return Solvability::NoMapUpTo {
+                    max_iterations: iterations,
+                };
+            }
+            COMPONENTS_REJECTED.add(1);
+            if act_obs::enabled() {
+                act_obs::event("solver.components.rejected")
+                    .u64("domain_facets", domain.facet_count() as u64)
+                    .u64("components", cert.components as u64)
+                    .u64("component_vertices", cert.vertices.len() as u64)
+                    .emit();
+            }
         }
     }
     let (result, stats) = find_carried_map_with_config(task, &domain, config);
@@ -990,7 +1032,8 @@ mod tests {
         // it came from, the witness verifies; paired with the wait-free
         // R_A (which keeps runs this α rules out), it must fail the
         // check, be counted and emitted, and leave the verdict to the
-        // search — which proves consensus unsolvable there.
+        // routes after it — where the components certificate proves
+        // consensus unsolvable, as the search does.
         let _guard = sink_guard();
         let sink = act_obs::MemorySink::shared();
         act_obs::install(sink.clone());
@@ -1032,7 +1075,11 @@ mod tests {
             "{}",
             routes[0]
         );
-        assert!(routes[1].contains("\"route\":\"search\""), "{}", routes[1]);
+        assert!(
+            routes[1].contains("\"route\":\"components\""),
+            "{}",
+            routes[1]
+        );
         let rejections = lines
             .iter()
             .filter(|l| l.contains("\"ev\":\"solver.leader_map.rejected\""))
