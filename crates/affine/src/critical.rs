@@ -33,11 +33,10 @@ pub struct CriticalInfo {
 /// Evaluator of Definitions 7 and 8 over a fixed level-1 complex (`Chr` of
 /// the standard simplex) and agreement function, with memoization.
 ///
-/// The memo cache is thread-private: the parallel facet filter of the
-/// `R_A` construction (`fair.rs`) creates one `CriticalAnalysis` per
-/// worker thread, so no locking is needed on the hot path. The type is
-/// `Send` (asserted by a test), which is what the scoped-thread fan-out
-/// requires.
+/// The memo cache is private to one analysis, so no locking is needed on
+/// the hot path: the facet filter of the `R_A` construction (`fair.rs`)
+/// runs one analysis over every facet. The type holds no thread-bound
+/// state and is `Send` (asserted by a test).
 ///
 /// # Examples
 ///
@@ -320,8 +319,7 @@ mod tests {
 
     #[test]
     fn critical_analysis_is_send() {
-        // The parallel R_A filter moves per-worker instances into scoped
-        // threads; keep the type Send.
+        // The analysis holds only plain data; keep the type Send.
         fn assert_send<T: Send>() {}
         assert_send::<CriticalAnalysis<'_>>();
     }

@@ -30,9 +30,7 @@
 //! verified against this `R_A` for `n ≤ 4`.
 
 use act_adversary::AgreementFunction;
-use act_topology::{
-    parallel_filter_facets, subdivision_threads, ColorPerm, ColorSet, Complex, Simplex,
-};
+use act_topology::{ColorPerm, ColorSet, Complex, Simplex};
 
 use crate::contention::is_contention_simplex;
 use crate::critical::CriticalAnalysis;
@@ -93,24 +91,21 @@ pub fn fair_affine_task_with(alpha: &AgreementFunction, side: CriticalSideCondit
     AffineTask::new(format!("R_A[{side:?}]"), complex).with_agreement_function(alpha)
 }
 
-/// The facet filter of Definition 9, applied to a level-2 complex.
-///
-/// The filter fans out over facet chunks; each worker owns a private
-/// memoizing [`CriticalAnalysis`], and the per-chunk results are
-/// concatenated in chunk order, so the kept-facet list (and hence the
-/// complex) is identical to a serial filter for every thread count.
+/// The facet filter of Definition 9, applied to a level-2 complex. One
+/// memoizing [`CriticalAnalysis`] serves every facet.
 fn restrict_to_fair(
     chr2: &Complex,
     alpha: &AgreementFunction,
     side: CriticalSideCondition,
 ) -> Complex {
     let parent = chr2.parent().expect("level-2 complex").clone();
-    let kept: Vec<Simplex> = parallel_filter_facets(
-        chr2.facets(),
-        subdivision_threads(),
-        || CriticalAnalysis::new(&parent, alpha),
-        |crit, sigma| facet_satisfies_p(chr2, crit, sigma, side),
-    );
+    let mut crit = CriticalAnalysis::new(&parent, alpha);
+    let kept: Vec<Simplex> = chr2
+        .facets()
+        .iter()
+        .filter(|sigma| facet_satisfies_p(chr2, &mut crit, sigma, side))
+        .cloned()
+        .collect();
     chr2.sub_complex(kept)
 }
 

@@ -10,7 +10,7 @@
 //! Kuznetsov–Rieutord (reference [25] of the paper) would slot in here;
 //! they are listed as future work by the paper and are out of scope.
 
-use act_topology::{parallel_filter_facets, subdivision_threads, Complex, Simplex};
+use act_topology::{Complex, Simplex};
 
 use crate::contention::max_contention_dim;
 use crate::task::AffineTask;
@@ -26,18 +26,18 @@ use crate::task::AffineTask;
 pub fn k_obstruction_free_task(n: usize, k: usize) -> AffineTask {
     assert!((1..=n).contains(&k), "k must be in 1..=n");
     let chr2 = Complex::standard(n).iterated_subdivision(2);
-    // Pure complement as a chunked, order-preserving facet filter (the
-    // facets of Chr² s are all maximal, so filtering them is equivalent).
-    let kept: Vec<Simplex> = parallel_filter_facets(
-        chr2.facets(),
-        subdivision_threads(),
-        || (),
-        |(), facet| {
+    // Pure complement as a facet filter (the facets of Chr² s are all
+    // maximal, so filtering them is equivalent).
+    let kept: Vec<Simplex> = chr2
+        .facets()
+        .iter()
+        .filter(|facet| {
             !facet.non_empty_faces().any(|theta| {
                 theta.dim() >= k as isize && crate::contention::is_contention_simplex(&chr2, &theta)
             })
-        },
-    );
+        })
+        .cloned()
+        .collect();
     AffineTask::new(format!("R_{k}-OF"), chr2.sub_complex(kept))
 }
 
@@ -53,18 +53,16 @@ pub fn k_obstruction_free_task(n: usize, k: usize) -> AffineTask {
 pub fn t_resilient_task(n: usize, t: usize) -> AffineTask {
     assert!(t < n, "t-resilience requires t < n");
     let chr2 = Complex::standard(n).iterated_subdivision(2);
-    // Chunked, order-preserving filter: identical to a serial filter for
-    // every thread count.
-    let kept: Vec<Simplex> = parallel_filter_facets(
-        chr2.facets(),
-        subdivision_threads(),
-        || (),
-        |(), f| {
+    let kept: Vec<Simplex> = chr2
+        .facets()
+        .iter()
+        .filter(|f| {
             f.vertices()
                 .iter()
                 .all(|&v| chr2.base_colors_of_vertex(v).len() >= n - t)
-        },
-    );
+        })
+        .cloned()
+        .collect();
     AffineTask::new(format!("R_{t}-res"), chr2.sub_complex(kept))
 }
 

@@ -15,14 +15,6 @@ use criterion::{criterion_group, criterion_main, record_result_metric, Benchmark
 
 const WORKER_COUNTS: [usize; 3] = [1, 4, 8];
 
-fn samples() -> usize {
-    std::env::var("ACT_BENCH_SAMPLES")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .filter(|&n| n > 0)
-        .unwrap_or(10)
-}
-
 /// Size of the dedicated throughput campaign each worker count runs
 /// once; the criterion-timed loop uses a tenth of this per iteration.
 fn campaign_runs() -> u64 {
@@ -50,7 +42,6 @@ fn bench(c: &mut Criterion) {
     let runs = campaign_runs();
 
     let mut g = c.benchmark_group("campaign");
-    g.sample_size(samples());
     for workers in WORKER_COUNTS {
         let id = BenchmarkId::new("sampled_runs", workers);
         let timed = config(workers, (runs / 10).max(1_000), 0xFAC7);

@@ -18,14 +18,6 @@ use act_bench::{banner, metric};
 use act_service::{spawn_server, ClusterClient, ClusterConfig, ServeOptions, ServerHandle};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
-fn samples() -> usize {
-    std::env::var("ACT_BENCH_SAMPLES")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .filter(|&n| n > 0)
-        .unwrap_or(10)
-}
-
 /// The wire portfolio: the same small `n = 3` instances `perf_serve`
 /// uses, issued as protocol requests instead of scheduler submits.
 const PORTFOLIO: &[(&str, usize)] = &[
@@ -109,7 +101,7 @@ fn report_phase(phase: &str, mut latencies: Vec<u64>, total_ns: u64) {
 
 fn print_experiment_data() {
     banner("P8", "replicated serving: wire qps/p99 at 1/2/4 peers");
-    let rounds = samples();
+    let rounds = criterion::sample_count(10);
     for peers in [1usize, 2, 4] {
         let cluster = start_cluster(peers);
 
@@ -141,14 +133,12 @@ fn print_experiment_data() {
 
 fn bench(c: &mut Criterion) {
     print_experiment_data();
-    let n = samples();
 
     // Timed slice: the full warm wire round-trip (client → TCP →
     // forward/answer → reply) on a 2-peer cluster.
     let cluster = start_cluster(2);
     solve_one(&cluster.client, "t-res:3:1", 2);
     let mut g = c.benchmark_group("p8_cluster_wire");
-    g.sample_size(n);
     g.bench_with_input(BenchmarkId::new("warm_solve", "2peers"), &(), |b, ()| {
         b.iter(|| solve_one(&cluster.client, "t-res:3:1", 2))
     });

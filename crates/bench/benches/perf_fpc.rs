@@ -14,14 +14,6 @@ use std::time::Instant;
 
 const STRATEGIES: [&str; 3] = ["cautious", "berserk", "fixed-split"];
 
-fn samples() -> usize {
-    std::env::var("ACT_BENCH_SAMPLES")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .filter(|&n| n > 0)
-        .unwrap_or(10)
-}
-
 /// Size of the dedicated throughput batch each strategy runs once; the
 /// criterion-timed loop uses a tenth of this per iteration.
 fn batch_runs() -> u64 {
@@ -44,7 +36,6 @@ fn bench(c: &mut Criterion) {
     let runs = batch_runs();
 
     let mut g = c.benchmark_group("fpc");
-    g.sample_size(samples());
     for strategy in STRATEGIES {
         let spec = spec_for(strategy);
         let id = BenchmarkId::new("seeded_runs", strategy);

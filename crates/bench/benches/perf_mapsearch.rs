@@ -1,6 +1,6 @@
 //! P6 — the map-search engine after the bitset/trail/residue rewrite:
-//! serial and default engines on the PR-2 reference instance
-//! (`p4_map_search/2set_1res/*`), unsolvable propagation-heavy searches,
+//! the engine on the PR-2 reference instance
+//! (`p4_map_search/2set_1res/default`), unsolvable propagation-heavy searches,
 //! and the incremental `DomainCache` against from-scratch domain builds.
 //!
 //! Every `*_mean_ns` metric (and every derived speedup) is read back
@@ -40,8 +40,9 @@
 //!
 //! The `speedup_vs_pr2*` metrics compare against the mean the PR-2
 //! engine recorded for the same instance (7 286 497 ns); this bench's
-//! `p4_map_search/2set_1res/default` row is the only live timing of it. `ACT_BENCH_SAMPLES` overrides the per-benchmark
-//! sample count (default 10) so CI smoke runs can keep this cheap.
+//! `p4_map_search/2set_1res/default` row is the only live timing of it.
+//! `ACT_BENCH_SAMPLES` overrides the per-benchmark sample count (default
+//! 10) so CI smoke runs can keep this cheap.
 
 use std::sync::Arc;
 
@@ -50,8 +51,8 @@ use act_affine::{fair_affine_task, AffineTask};
 use act_bench::{banner, metric};
 use act_service::TowerStore;
 use act_tasks::{
-    certificate, consensus, find_carried_map, find_carried_map_with_config,
-    find_carried_map_with_stats, sperner_certificate, SearchConfig, SetConsensus, Task,
+    certificate, consensus, find_carried_map, find_carried_map_with_stats, sperner_certificate,
+    SetConsensus, Task,
 };
 use act_topology::{permute_complex, ColorPerm};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
@@ -61,14 +62,6 @@ use fact::{affine_domain, DomainCache, TowerPersistence};
 /// `Vec<VertexId>` domains) on the same reference instance.
 const PR2_P4_MEAN_NS: u64 = 7_286_497;
 
-fn samples() -> usize {
-    std::env::var("ACT_BENCH_SAMPLES")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .filter(|&n| n > 0)
-        .unwrap_or(10)
-}
-
 /// The mean of row `id`, which must have been reported in this run.
 fn row_mean_ns(id: &str) -> u64 {
     criterion::result_mean_ns(id).unwrap_or_else(|| panic!("benchmark row {id:?} did not run"))
@@ -76,7 +69,6 @@ fn row_mean_ns(id: &str) -> u64 {
 
 fn bench(c: &mut Criterion) {
     banner("P6", "map-search engine");
-    let n = samples();
 
     let alpha = AgreementFunction::of_adversary(&Adversary::t_resilient(3, 1));
     let r_a = fair_affine_task(&alpha);
@@ -86,15 +78,6 @@ fn bench(c: &mut Criterion) {
 
     // The PR-2 reference instance.
     let mut g = c.benchmark_group("p4_map_search");
-    g.sample_size(n);
-    g.bench_with_input(BenchmarkId::new("2set_1res", "serial"), &(), |b, ()| {
-        let config = SearchConfig::serial(3_000_000);
-        b.iter(|| {
-            assert!(find_carried_map_with_config(&t, &domain, &config)
-                .0
-                .is_found())
-        })
-    });
     g.bench_with_input(BenchmarkId::new("2set_1res", "default"), &(), |b, ()| {
         b.iter(|| assert!(find_carried_map(&t, &domain, 3_000_000).is_found()))
     });
@@ -115,7 +98,6 @@ fn bench(c: &mut Criterion) {
     assert!(certificate::check(&wf_domain, &certified));
     assert!(find_carried_map(&no_map, &wf_domain, 5_000_000).is_unsolvable());
     let mut g = c.benchmark_group("p6_no_map");
-    g.sample_size(n);
     g.bench_with_input(BenchmarkId::new("wait_free3_l2", "search"), &(), |b, ()| {
         b.iter(|| assert!(find_carried_map(&no_map, &wf_domain, 5_000_000).is_unsolvable()))
     });
@@ -148,7 +130,6 @@ fn bench(c: &mut Criterion) {
     }
 
     let mut g = c.benchmark_group("p6_domain_build");
-    g.sample_size(n);
     g.bench_with_input(BenchmarkId::new("r_a_l2", "scratch"), &(), |b, ()| {
         b.iter(|| affine_domain(&r_a, &inputs, 2).facet_count())
     });
@@ -202,28 +183,16 @@ fn bench(c: &mut Criterion) {
 
     // Metrics, all derived from the rows above — never from a separate
     // timing loop.
-    let serial = row_mean_ns("p4_map_search/2set_1res/serial");
     let default = row_mean_ns("p4_map_search/2set_1res/default");
-    metric("p4_serial_mean_ns", serial);
     metric("p4_default_mean_ns", default);
-    metric(
-        "speedup_serial_vs_pr2",
-        (PR2_P4_MEAN_NS + serial / 2) / serial.max(1),
-    );
-    metric(
-        "speedup_serial_vs_pr2_x100",
-        PR2_P4_MEAN_NS * 100 / serial.max(1),
-    );
     metric(
         "speedup_vs_pr2",
         (PR2_P4_MEAN_NS + default / 2) / default.max(1),
     );
     metric("speedup_vs_pr2_x100", PR2_P4_MEAN_NS * 100 / default.max(1));
     println!(
-        "p4 reference instance: PR-2 {} ns → serial {} ns ({:.1}x), default {} ns ({:.1}x)",
+        "p4 reference instance: PR-2 {} ns → {} ns ({:.1}x)",
         PR2_P4_MEAN_NS,
-        serial,
-        PR2_P4_MEAN_NS as f64 / serial.max(1) as f64,
         default,
         PR2_P4_MEAN_NS as f64 / default.max(1) as f64,
     );
@@ -262,15 +231,13 @@ fn bench(c: &mut Criterion) {
     let (result, stats) = find_carried_map_with_stats(&t, &domain, 3_000_000);
     assert!(result.is_found());
     metric("p4_nodes", stats.nodes as u64);
-    metric("p4_workers", stats.workers as u64);
     metric(
         "residue_hit_rate_x100",
         (stats.residue_hit_rate() * 100.0) as u64,
     );
     println!(
-        "p4 search: {} nodes, {} workers, residue hit rate {:.1}% ({} hits / {} misses)",
+        "p4 search: {} nodes, residue hit rate {:.1}% ({} hits / {} misses)",
         stats.nodes,
-        stats.workers,
         stats.residue_hit_rate() * 100.0,
         stats.residue_hits,
         stats.residue_misses,

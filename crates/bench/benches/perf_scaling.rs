@@ -1,16 +1,13 @@
-//! P1–P3, P5, P7 — performance envelope for downstream users: scaling
-//! of the subdivision machinery, `R_A` construction, `setcon`, the
-//! serial-vs-parallel speedup of the subdivision engine, and the cost of
-//! a tower's canonical key, as a function of system size. Each row id
+//! P1–P3, P7 — performance envelope for downstream users: scaling of
+//! the subdivision machinery, `R_A` construction, `setcon`, and the cost
+//! of a tower's canonical key, as a function of system size. Each row id
 //! names one method; the map search (P4) lives in `perf_mapsearch`.
 
 use act_adversary::{Adversary, AgreementFunction, SetconSolver};
 use act_affine::{fair_affine_task, fair_census_quotiented};
 use act_bench::{banner, metric};
 use act_tasks::SetConsensus;
-use act_topology::{
-    canonical_pair_hashes, permute_complex, subdivision_threads, ColorPerm, ColorSet, Complex,
-};
+use act_topology::{canonical_pair_hashes, permute_complex, ColorPerm, ColorSet, Complex};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
 /// The mean of row `id`, which must have been reported in this run.
@@ -19,7 +16,7 @@ fn row_mean_ns(id: &str) -> u64 {
 }
 
 fn print_experiment_data() {
-    banner("P1-P5", "scaling envelope");
+    banner("P1-P3", "scaling envelope");
     for n in 2..=5usize {
         let chr = Complex::standard(n).chromatic_subdivision();
         println!("n = {n}: |facets(Chr s)| = {}", chr.facet_count());
@@ -36,17 +33,6 @@ fn print_experiment_data() {
             r.complex().facet_count()
         );
     }
-    // P5: the subdivision engine on the heaviest deterministic build in
-    // the figures, Chr² s at n = 4 (5 625 facets). The serial and
-    // parallel builds are byte-identical; their speedup is read back from
-    // the `p5_parallel_subdivision` rows.
-    let workers = subdivision_threads();
-    let chr = Complex::standard(4).chromatic_subdivision();
-    let serial = chr.chromatic_subdivision_threaded(1);
-    let parallel = chr.chromatic_subdivision_threaded(workers);
-    assert_eq!(serial, parallel, "deterministic merge must be exact");
-    metric("p5_chr2_facets_n4", parallel.facet_count() as u64);
-    metric("p5_workers", workers as u64);
 }
 
 fn bench(c: &mut Criterion) {
@@ -129,44 +115,6 @@ fn bench(c: &mut Criterion) {
         });
     }
     g.finish();
-
-    // P5: serial vs parallel subdivision on Chr² s, n = 4 — fixed 1-,
-    // 2- and 4-worker rows (plus the ambient default when it differs)
-    // so the parallel-scaling claim is backed by recorded numbers on
-    // every run, not just on many-core hosts.
-    let mut g = c.benchmark_group("p5_parallel_subdivision");
-    let chr4 = Complex::standard(4).chromatic_subdivision();
-    let mut worker_rows = vec![1usize, 2, 4];
-    if !worker_rows.contains(&subdivision_threads()) {
-        worker_rows.push(subdivision_threads());
-    }
-    for &threads in &worker_rows {
-        g.bench_with_input(
-            BenchmarkId::new("chr2_n4", threads),
-            &threads,
-            |b, &threads| b.iter(|| chr4.chromatic_subdivision_threaded(threads).facet_count()),
-        );
-    }
-    g.finish();
-    let p5_serial = row_mean_ns("p5_parallel_subdivision/chr2_n4/1");
-    let (p5_best, p5_workers) = worker_rows
-        .iter()
-        .filter(|&&w| w > 1)
-        .map(|&w| {
-            (
-                row_mean_ns(&format!("p5_parallel_subdivision/chr2_n4/{w}")),
-                w,
-            )
-        })
-        .min()
-        .unwrap_or((p5_serial, 1));
-    let p5_speedup = p5_serial * 100 / p5_best.max(1);
-    metric("p5_parallel_speedup_x100", p5_speedup);
-    println!(
-        "n = 4: Chr² s serial {p5_serial} ns vs {p5_workers} workers {p5_best} ns — speedup {}.{:02}x",
-        p5_speedup / 100,
-        p5_speedup % 100
-    );
 
     // P7: the canonical key of an n = 4 tower — the joint S_n-minimal
     // encoding of (R_A, rainbow inputs) that keys the DomainCache and the

@@ -20,14 +20,6 @@ use act_service::{Scheduler, ServeConfig, Served, SolveQuery, Submitted, Verdict
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use fact::{ModelSpec, TaskSpec};
 
-fn samples() -> usize {
-    std::env::var("ACT_BENCH_SAMPLES")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .filter(|&n| n > 0)
-        .unwrap_or(10)
-}
-
 fn query(model: &str, k: usize, iters: usize) -> SolveQuery {
     let model = ModelSpec::parse(model, false).expect("portfolio model parses");
     let task = TaskSpec::set_consensus(model.num_processes(), k).expect("portfolio task parses");
@@ -96,7 +88,7 @@ fn report_phase(phase: &str, mut latencies: Vec<u64>, total_ns: u64) {
 
 fn print_experiment_data(dir: &std::path::Path) {
     banner("P7", "serving layer: cold vs warm vs coalesced");
-    let rounds = samples();
+    let rounds = criterion::sample_count(10);
 
     // Cold: every query is an engine run into an empty store.
     let store = Arc::new(VerdictStore::open(dir).expect("open bench store"));
@@ -154,7 +146,6 @@ fn bench(c: &mut Criterion) {
     let dir = std::env::temp_dir().join(format!("fact-bench-serve-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     print_experiment_data(&dir);
-    let n = samples();
 
     // Timed slices of the two hot paths: a memory-tier hit on a live
     // scheduler, and a disk-tier load through a cold store.
@@ -165,7 +156,6 @@ fn bench(c: &mut Criterion) {
         "cold phase must have populated the store"
     );
     let mut g = c.benchmark_group("p7_store_hit");
-    g.sample_size(n);
     g.bench_with_input(BenchmarkId::new("hit", "memory_tier"), &(), |b, ()| {
         b.iter(|| store.get(&warm_key).expect("memory hit"))
     });

@@ -1,6 +1,6 @@
 //! Typed errors for the FACT pipeline, surfaced as `fact-cli` exit
-//! codes: `0` success, `1` runtime failure, `2` usage error, `3`
-//! degraded run, `4` deadline expiry.
+//! codes: `0` success, `1` runtime failure, `2` usage error, `4`
+//! deadline expiry.
 
 use act_runtime::ScheduleError;
 
@@ -26,10 +26,6 @@ pub enum FactError {
         /// The system's process count.
         num_processes: usize,
     },
-    /// The run completed, but in degraded mode: a parallel engine
-    /// branch was lost to a caught panic and could not be retried to
-    /// completion, so exhaustive claims are weakened. Exit code 3.
-    Degraded(String),
     /// The wall-clock deadline expired before a verdict. Exit code 4.
     TimedOut {
         /// The iteration count at which the deadline fired.
@@ -43,7 +39,6 @@ impl FactError {
         match self {
             FactError::Runtime(_) | FactError::InvalidSchedule { .. } => 1,
             FactError::Usage(_) => 2,
-            FactError::Degraded(_) => 3,
             FactError::TimedOut { .. } => 4,
         }
     }
@@ -68,7 +63,6 @@ impl std::fmt::Display for FactError {
                 "schedule step {step} names process {process}, \
                  but the system has only {num_processes} processes"
             ),
-            FactError::Degraded(msg) => write!(f, "degraded run: {msg}"),
             FactError::TimedOut { iterations } => {
                 write!(f, "deadline expired at iteration {iterations}")
             }
@@ -111,7 +105,6 @@ mod tests {
             1
         );
         assert_eq!(FactError::Usage("x".into()).exit_code(), 2);
-        assert_eq!(FactError::Degraded("x".into()).exit_code(), 3);
         assert_eq!(FactError::TimedOut { iterations: 2 }.exit_code(), 4);
     }
 

@@ -88,11 +88,8 @@ impl Solvability {
 /// Builds the domain `R_A^ℓ(I)`: the affine task applied `ℓ` times to the
 /// task's input complex.
 ///
-/// Each application runs through the parallel subdivision engine
-/// (`subdivide_patterned`), fanning out over `act_topology::
-/// subdivision_threads()` workers with a deterministic merge — the domain
-/// is identical for every thread count (`RAYON_NUM_THREADS=1` forces the
-/// serial build).
+/// Each application is one recipe-driven subdivision
+/// (`subdivide_patterned`) of the previous level.
 pub fn affine_domain(task: &AffineTask, inputs: &Complex, iterations: usize) -> Complex {
     assert!(iterations >= 1, "at least one iteration");
     let mut c = inputs.clone();

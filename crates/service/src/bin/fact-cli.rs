@@ -52,14 +52,6 @@ fn main() -> ExitCode {
         Ok(p) => p,
         Err(msg) => return fail(FactError::Usage(msg)),
     };
-    match extract_threads_flag(&mut args) {
-        // Both the subdivision engine and the map-search engine read
-        // RAYON_NUM_THREADS; setting it before any work starts makes the
-        // flag govern every parallel fan-out of the run.
-        Ok(Some(n)) => std::env::set_var("RAYON_NUM_THREADS", n.to_string()),
-        Ok(None) => {}
-        Err(msg) => return fail(FactError::Usage(msg)),
-    }
     let deadline_ms = match extract_deadline_flag(&mut args) {
         Ok(d) => d,
         Err(msg) => return fail(FactError::Usage(msg)),
@@ -74,18 +66,7 @@ fn main() -> ExitCode {
         act_obs::init_from_env();
         None
     };
-    let degraded_before = fact::tasks::ENGINE_DEGRADED.get();
-    let mut result = run(&args, deadline_ms);
-    // A run that completed but lost a search branch to a caught panic is
-    // reported as degraded (exit code 3): its non-Found verdicts are not
-    // exhaustive, and CI must not treat them as clean.
-    let degraded_runs = fact::tasks::ENGINE_DEGRADED.get() - degraded_before;
-    if result.is_ok() && degraded_runs > 0 {
-        result = Err(FactError::Degraded(format!(
-            "{degraded_runs} map search(es) caught a worker panic; \
-             non-Found verdicts are not exhaustive"
-        )));
-    }
+    let result = run(&args, deadline_ms);
     if let (Some(path), Some(sink)) = (&report_path, &sink) {
         let lines = sink.drain();
         let command = args.first().cloned().unwrap_or_default();
@@ -112,7 +93,7 @@ fn main() -> ExitCode {
 }
 
 /// Prints the error (plus usage when the invocation was malformed) and
-/// maps it to its exit code: 1 runtime, 2 usage, 3 degraded, 4 timed out.
+/// maps it to its exit code: 1 runtime, 2 usage, 4 timed out.
 fn fail(e: FactError) -> ExitCode {
     eprintln!("error: {e}");
     if e.is_usage() {
@@ -166,27 +147,6 @@ fn extract_bool_flag(args: &mut Vec<String>, flag: &str) -> bool {
         Some(i) => {
             args.remove(i);
             true
-        }
-    }
-}
-
-/// Removes `--threads <n>` from the argument list, returning the count.
-fn extract_threads_flag(args: &mut Vec<String>) -> Result<Option<usize>, String> {
-    match args.iter().position(|a| a == "--threads") {
-        None => Ok(None),
-        Some(i) => {
-            if i + 1 >= args.len() {
-                return Err("--threads needs a worker count".into());
-            }
-            let raw = args.remove(i + 1);
-            args.remove(i);
-            let n: usize = raw
-                .parse()
-                .map_err(|_| format!("bad --threads value {raw:?}"))?;
-            if n == 0 {
-                return Err("--threads must be at least 1".into());
-            }
-            Ok(Some(n))
         }
     }
 }
@@ -255,14 +215,11 @@ usage:
 
 options:
   --report <path>   capture the run's telemetry into a RunReport JSON file
-  --threads <n>     worker threads for subdivision and map search
-                    (sets RAYON_NUM_THREADS; 1 forces the serial engines)
   --deadline-ms <n> wall-clock budget for each map search; expiry yields
                     a timed-out verdict (exit code 4), not a hang
                     (under serve: the default per-request budget)
 
 exit codes: 0 success | 1 runtime failure | 2 usage error
-            3 degraded run (a search branch was lost to a caught panic)
             4 search deadline expired
             42 chaos plan killed the server (kill-peer event; testing only)
 
@@ -1253,29 +1210,6 @@ mod tests {
         let e = run(&["solve".into(), "t-res:4:2".into(), "2".into()], Some(0)).unwrap_err();
         assert!(matches!(e, FactError::TimedOut { .. }), "got {e:?}");
         assert_eq!(e.exit_code(), 4);
-    }
-
-    #[test]
-    fn threads_flag_is_extracted() {
-        let mut args: Vec<String> = ["solve", "--threads", "4", "t-res:3:1", "2"]
-            .iter()
-            .map(|s| s.to_string())
-            .collect();
-        let n = extract_threads_flag(&mut args).unwrap();
-        assert_eq!(n, Some(4));
-        assert_eq!(args, ["solve", "t-res:3:1", "2"]);
-
-        let mut none: Vec<String> = vec!["census".into()];
-        assert_eq!(extract_threads_flag(&mut none).unwrap(), None);
-
-        let mut missing: Vec<String> = vec!["census".into(), "--threads".into()];
-        assert!(extract_threads_flag(&mut missing).is_err());
-
-        let mut zero: Vec<String> = vec!["--threads".into(), "0".into()];
-        assert!(extract_threads_flag(&mut zero).is_err());
-
-        let mut junk: Vec<String> = vec!["--threads".into(), "lots".into()];
-        assert!(extract_threads_flag(&mut junk).is_err());
     }
 
     #[test]

@@ -20,10 +20,9 @@
 //!   in-flight queries coalesce to one engine run, a worker pool shares
 //!   warmed [`DomainCache`](fact::DomainCache) towers (and the affine
 //!   task `R_A` itself) per agreement function, and workers pick jobs
-//!   cache-aware (same-α adjacency). Each job runs under the deadline /
-//!   degraded-engine machinery, and a `timed-out` / `exhausted` verdict
-//!   is reported to the requester but **never persisted** as
-//!   authoritative;
+//!   cache-aware (same-α adjacency). Each job runs under its node budget
+//!   and deadline, and a `timed-out` / `exhausted` verdict is reported to
+//!   the requester but **never persisted** as authoritative;
 //! * [`server`] — the **operational surface**: newline-delimited JSON
 //!   over TCP (or stdio for tests and pipelines), `stats` and
 //!   `shutdown` request types, bounded queue with explicit backpressure

@@ -23,10 +23,11 @@
 //! every spelling of one model and every `k` share one `R_A`. Slots live
 //! in a small LRU so a long-running server's memory stays bounded.
 //!
-//! Every engine run goes through the deadline / degraded-engine
-//! machinery ([`SearchConfig`]); a `timed-out` or `exhausted` outcome is
-//! reported to the requesters as [`Served::Unreliable`] and **never
-//! persisted** — only authoritative verdicts reach the store.
+//! Every engine run is bounded by the node budget and deadline of its
+//! [`SearchConfig`]; a `timed-out` or `exhausted` outcome is reported to
+//! the requesters as [`Served::Unreliable`] and **never persisted** —
+//! only authoritative verdicts reach the store. A panicking run is a
+//! [`Served::Failed`] runtime error, and its tower slot is dropped.
 
 use std::collections::{HashMap, VecDeque};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -60,9 +61,6 @@ pub struct ServeConfig {
     pub deadline_ms: Option<u64>,
     /// Map-search node budget per engine run.
     pub max_nodes: usize,
-    /// Engine threads per run (`None` = the environment's
-    /// `mapsearch_threads()` default).
-    pub threads: Option<usize>,
     /// How many warmed tower slots to keep resident: one per agreement
     /// function, each holding its `R_A` and the towers of its `k`s.
     pub tower_capacity: usize,
@@ -75,7 +73,6 @@ impl Default for ServeConfig {
             queue_capacity: 64,
             deadline_ms: None,
             max_nodes: 5_000_000,
-            threads: None,
             tower_capacity: 8,
         }
     }
@@ -465,9 +462,6 @@ impl Scheduler {
         };
         let task: SetConsensus = query.task.task();
         let mut config = SearchConfig::new(self.config.max_nodes);
-        if let Some(threads) = self.config.threads {
-            config = config.with_threads(threads);
-        }
         if let Some(ms) = query.deadline_ms.or(self.config.deadline_ms) {
             config = config.with_deadline(Duration::from_millis(ms));
         }
@@ -696,6 +690,54 @@ mod tests {
         let q = query(1);
         let fresh = sched.tower_slot(&q.tower_key(), &q).unwrap();
         assert!(fresh.lock().unwrap().affine.is_none());
+    }
+
+    #[test]
+    fn an_engine_panic_is_a_runtime_failure_never_a_verdict() {
+        let _serial = crate::test_serial_guard();
+        let sched = Scheduler::new(Arc::new(VerdictStore::in_memory()), ServeConfig::default());
+        // t-res:3:1 consensus is below α(Π) = 2 and solvable, so no
+        // certificate answers it: the map search runs and panics as it
+        // starts. `compute` runs on this thread, where the hook is armed.
+        let q = query(1);
+        let tower_key = q.tower_key();
+        let prev = std::panic::take_hook();
+        std::panic::set_hook(Box::new(|_| {}));
+        act_tasks::chaos::panic_on_next_run();
+        let served = sched.compute(&tower_key, &q);
+        std::panic::set_hook(prev);
+        assert_eq!(
+            served,
+            Served::Failed {
+                error: "engine panicked".into(),
+                code: CODE_RUNTIME,
+            },
+            "a panic is a runtime failure, never a verdict"
+        );
+        assert!(sched.store().get(&q.key()).is_none(), "nothing is stored");
+        assert!(
+            !sched.towers.lock().unwrap().slots.contains_key(&tower_key),
+            "the possibly half-built tower slot is dropped"
+        );
+
+        // The next identical query is not answered from any leftover: it
+        // runs the engine again and gets the authoritative verdict.
+        let runs_before = SERVE_ENGINE_RUNS.get();
+        let rx = match sched.submit(q.clone()) {
+            Submitted::Pending(rx) => rx,
+            other => panic!("expected Pending, got {}", kind(&other)),
+        };
+        sched.start_workers();
+        match rx.recv().expect("a worker answers") {
+            Served::Authoritative { verdict, source } => {
+                assert_eq!(source, "engine");
+                assert_eq!(verdict.verdict, "solvable");
+            }
+            other => panic!("expected authoritative, got {other:?}"),
+        }
+        assert_eq!(SERVE_ENGINE_RUNS.get() - runs_before, 1);
+        assert!(sched.store().get(&q.key()).is_some(), "now it is stored");
+        sched.drain();
     }
 
     fn kind(s: &Submitted) -> &'static str {

@@ -1,6 +1,6 @@
 //! The CSP core of the carried-map search: bitset domains, a
 //! backtracking trail, table constraints with GAC residual supports, and
-//! parallel, memoized constraint-table construction.
+//! memoized constraint-table construction.
 //!
 //! Variables are the used vertices of the (subdivided) domain complex,
 //! re-indexed densely; the values of a variable are its same-colored
@@ -8,16 +8,15 @@
 //! current domain is a handful of `u64` words. The search never clones
 //! domains: every removal is recorded on a trail and undone on
 //! backtrack. Immutable data (candidate lists, constraint tuples,
-//! support lists) is built once — in parallel over facets, memoized by
-//! the facet's intern-key signature — and shared by every search worker
-//! behind `Arc`s; only the mutable [`State`] is cloned per worker.
+//! support lists) is built once, memoized by the facet's intern-key
+//! signature, and shared behind `Arc`s by the facets with equal
+//! signatures; the search mutates only the [`State`].
 
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 
 use act_topology::{
-    chain_action, parallel_map_ranges, ChainAction, Complex, LabelMatching, ProcessId, Simplex,
-    VertexId,
+    chain_action, ChainAction, Complex, LabelMatching, ProcessId, Simplex, VertexId,
 };
 
 use crate::mapsearch::SearchStats;
@@ -89,9 +88,8 @@ pub(crate) struct Tables {
 }
 
 /// The mutable half of the CSP: current domains (bitsets + counts), the
-/// backtracking trail, and the GAC residues. Cloned once per parallel
-/// search worker; never cloned per node.
-#[derive(Clone)]
+/// backtracking trail, and the GAC residues. Never cloned: the search
+/// undoes its removals through the trail.
 pub(crate) struct State {
     /// Domain bitsets, all variables concatenated (see
     /// [`Tables::word_off`]).
@@ -555,13 +553,12 @@ fn lift_symmetry(
 }
 
 /// Builds the CSP for the carried-map search: candidate lists memoized
-/// by `(color, base-carrier)`, constraint tables built concurrently over
-/// facet chunks (up to `threads` workers) and memoized by the facet's
-/// intern-key signature, plus depth-1 lex-leader symmetry breakers for
-/// the task's declared symmetries. Returns `None` when some vertex has
-/// no candidate or some facet no allowed tuple — the search is then
-/// unsatisfiable without visiting a single node.
-pub(crate) fn build(task: &dyn Task, domain: &Complex, threads: usize) -> Option<(Tables, State)> {
+/// by `(color, base-carrier)`, one constraint table per facet memoized by
+/// the facet's intern-key signature, plus depth-1 lex-leader symmetry
+/// breakers for the task's declared symmetries. Returns `None` when some
+/// vertex has no candidate or some facet no allowed tuple — the search is
+/// then unsatisfiable without visiting a single node.
+pub(crate) fn build(task: &dyn Task, domain: &Complex) -> Option<(Tables, State)> {
     let outputs = task.outputs();
     let vars: Vec<VertexId> = domain.used_vertices();
     let var_of: HashMap<VertexId, u32> = vars
@@ -599,46 +596,32 @@ pub(crate) fn build(task: &dyn Task, domain: &Complex, threads: usize) -> Option
         values.push(cands);
     }
 
-    // Constraint tables, one per facet, built concurrently in facet
-    // chunks. Each chunk worker memoizes tuple data by the facet's
-    // signature; the per-chunk results are merged in chunk order, so
-    // the constraint list is identical for every thread count.
+    // Constraint tables, one per facet, with tuple data memoized by the
+    // facet's signature.
     let facets = domain.facets();
-    let chunked: Vec<Vec<Option<TableConstraint>>> =
-        parallel_map_ranges(facets.len(), threads.max(1), |range| {
-            let mut memo: HashMap<Vec<(ProcessId, Simplex)>, Arc<TupleData>> = HashMap::new();
-            let mut out = Vec::with_capacity(range.len());
-            for facet in &facets[range] {
-                let members: Vec<u32> = facet.vertices().iter().map(|v| var_of[v]).collect();
-                let signature = domain.simplex_signature(facet);
-                let data = match memo.get(&signature) {
-                    Some(d) => Some(d.clone()),
-                    None => {
-                        let candidates: Vec<&Arc<Vec<VertexId>>> =
-                            members.iter().map(|&m| &values[m as usize]).collect();
-                        let built = build_tuple_data(task, domain, facet, &candidates);
-                        if let Some(d) = &built {
-                            memo.insert(signature, d.clone());
-                        }
-                        built
-                    }
-                };
-                out.push(data.map(|data| TableConstraint {
-                    members,
-                    data,
-                    residue_base: 0, // assigned after the merge
-                }));
-            }
-            out
-        });
-
+    let mut memo: HashMap<Vec<(ProcessId, Simplex)>, Arc<TupleData>> = HashMap::new();
     let mut constraints: Vec<TableConstraint> = Vec::with_capacity(facets.len());
     let mut residue_len = 0u32;
-    for c in chunked.into_iter().flatten() {
-        let mut c = c?;
-        c.residue_base = residue_len;
-        residue_len += c.data.pos_off.last().copied().unwrap_or(0);
-        constraints.push(c);
+    for facet in facets {
+        let members: Vec<u32> = facet.vertices().iter().map(|v| var_of[v]).collect();
+        let signature = domain.simplex_signature(facet);
+        let data = match memo.get(&signature) {
+            Some(d) => d.clone(),
+            None => {
+                let candidates: Vec<&Arc<Vec<VertexId>>> =
+                    members.iter().map(|&m| &values[m as usize]).collect();
+                let built = build_tuple_data(task, domain, facet, &candidates)?;
+                memo.insert(signature, built.clone());
+                built
+            }
+        };
+        let residue_base = residue_len;
+        residue_len += data.pos_off.last().copied().unwrap_or(0);
+        constraints.push(TableConstraint {
+            members,
+            data,
+            residue_base,
+        });
     }
     let facet_constraints = constraints.len();
 
@@ -699,7 +682,7 @@ mod tests {
     fn build_produces_bitset_domains_matching_candidates() {
         let t = SetConsensus::new(2, 2, &[0, 1, 2]);
         let domain = t.inputs().iterated_subdivision(1);
-        let (tables, state) = build(&t, &domain, 1).expect("satisfiable");
+        let (tables, state) = build(&t, &domain).expect("satisfiable");
         assert_eq!(tables.vars.len(), domain.used_vertices().len());
         assert_eq!(tables.facet_constraints, domain.facet_count());
         assert!(tables.constraints.len() >= tables.facet_constraints);
@@ -725,7 +708,7 @@ mod tests {
     fn trail_remove_and_undo_round_trips() {
         let t = SetConsensus::new(2, 2, &[0, 1, 2]);
         let domain = t.inputs().iterated_subdivision(1);
-        let (tables, mut state) = build(&t, &domain, 1).expect("satisfiable");
+        let (tables, mut state) = build(&t, &domain).expect("satisfiable");
         let var = (0..tables.vars.len())
             .find(|&v| state.count[v] > 1)
             .expect("some branching variable");
@@ -742,23 +725,6 @@ mod tests {
     }
 
     #[test]
-    fn parallel_table_build_matches_serial() {
-        let t = SetConsensus::new(3, 2, &[0, 1, 2]);
-        let domain = t.inputs().iterated_subdivision(1);
-        let (serial, _) = build(&t, &domain, 1).expect("satisfiable");
-        for threads in [2usize, 4] {
-            let (parallel, _) = build(&t, &domain, threads).expect("satisfiable");
-            assert_eq!(serial.constraints.len(), parallel.constraints.len());
-            for (a, b) in serial.constraints.iter().zip(&parallel.constraints) {
-                assert_eq!(a.members, b.members);
-                assert_eq!(a.data.tuples, b.data.tuples);
-                assert_eq!(a.data.pos_off, b.data.pos_off);
-                assert_eq!(a.residue_base, b.residue_base);
-            }
-        }
-    }
-
-    #[test]
     fn memoized_tables_are_shared_across_same_signature_facets() {
         // At level 1 a facet's (color, base_carrier) signature still
         // determines the facet, but from level 2 on base carriers lose
@@ -767,7 +733,7 @@ mod tests {
         // must make same-signature facets share their TupleData.
         let t = SetConsensus::new(2, 2, &[0, 1, 2]);
         let domain = t.inputs().iterated_subdivision(2);
-        let (tables, _) = build(&t, &domain, 1).expect("satisfiable");
+        let (tables, _) = build(&t, &domain).expect("satisfiable");
         let mut by_sig: HashMap<Vec<(ProcessId, Simplex)>, *const TupleData> = HashMap::new();
         let mut shared = 0usize;
         for (ci, c) in tables.constraints[..tables.facet_constraints]
@@ -801,7 +767,7 @@ mod tests {
         let t = consensus(2, &[0, 1]);
         assert!(!t.symmetries().is_empty());
         let domain = t.inputs().iterated_subdivision(1);
-        let (tables, state) = build(&t, &domain, 1).expect("builds");
+        let (tables, state) = build(&t, &domain).expect("builds");
         let breakers = &tables.constraints[tables.facet_constraints..];
         let pivot = (0..tables.vars.len())
             .max_by(|&a, &b| {
@@ -829,7 +795,7 @@ mod tests {
         // 2-process consensus on Chr¹: GAC alone wipes out a domain.
         let t = consensus(2, &[0, 1]);
         let domain = t.inputs().iterated_subdivision(1);
-        let (tables, mut state) = build(&t, &domain, 1).expect("builds");
+        let (tables, mut state) = build(&t, &domain).expect("builds");
         let mut stats = SearchStats::default();
         assert!(!propagate(&tables, &mut state, None, &mut stats));
         assert!(stats.prunes > 0);

@@ -33,7 +33,7 @@ mod more_tasks;
 mod sperner;
 mod task;
 
-pub use engine::{chaos, mapsearch_threads, SearchConfig, ENGINE_DEGRADED, ENGINE_SCHEMA_VERSION};
+pub use engine::{chaos, SearchConfig, ENGINE_SCHEMA_VERSION};
 pub use mapsearch::{
     find_carried_map, find_carried_map_with_config, find_carried_map_with_stats,
     verify_carried_map, SearchResult, SearchStats, SEARCH_NODES, SEARCH_PRUNES, SEARCH_RESIDUE,

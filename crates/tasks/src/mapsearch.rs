@@ -14,11 +14,9 @@
 //! * [`crate::csp`] — bitset domains (candidate sets as `u64`-word masks
 //!   over dense per-variable value indices), a backtracking trail
 //!   (removals are undone instead of domains cloned), GAC with residual
-//!   supports, and parallel, signature-memoized constraint-table
-//!   construction;
-//! * [`crate::engine`] — the MRV backtracking search itself, serial or
-//!   split across scoped workers over the root variable's values with a
-//!   shared abort flag and a pooled node budget (see [`SearchConfig`]).
+//!   supports, and signature-memoized constraint-table construction;
+//! * [`crate::engine`] — the dom/wdeg backtracking search itself, bounded
+//!   by a node budget and an optional deadline (see [`SearchConfig`]).
 
 use act_topology::{Complex, VertexMap};
 
@@ -83,7 +81,7 @@ pub struct SearchStats {
     /// facet tables (0 when the task declares no symmetries or none act
     /// on the concrete domain).
     pub symmetry_constraints: usize,
-    /// Backtracking nodes visited (summed across workers).
+    /// Backtracking nodes visited.
     pub nodes: usize,
     /// Candidate values pruned by generalized arc consistency.
     pub prunes: usize,
@@ -93,26 +91,10 @@ pub struct SearchStats {
     pub budget_remaining: usize,
     /// Subdivision depth (level) of the searched domain.
     pub depth: usize,
-    /// Search workers the root branches were split across.
-    pub workers: usize,
     /// GAC residual-support checks that validated the cached tuple.
     pub residue_hits: usize,
     /// GAC residual-support checks that had to rescan the table.
     pub residue_misses: usize,
-    /// Root branches recorded as nogoods: proven `NoMap` by a clean,
-    /// complete refutation (never from a budget / deadline / abort cut).
-    pub nogoods_recorded: usize,
-    /// Root branches skipped because the shared nogood store already
-    /// held a clean refutation (mostly the serial-retry path reusing
-    /// work a panicked worker finished before dying).
-    pub nogoods_skipped: usize,
-    /// Worker panics caught and contained by the parallel engine (each
-    /// one triggers a serial retry of the poisoned chunk).
-    pub caught_panics: usize,
-    /// Whether the run is *degraded*: some branch could not complete
-    /// even after the serial retry, so its subtree was never exhausted.
-    /// A degraded run never reports [`SearchResult::Unsolvable`].
-    pub degraded: bool,
 }
 
 impl SearchStats {
@@ -124,18 +106,6 @@ impl SearchStats {
         } else {
             self.residue_hits as f64 / total as f64
         }
-    }
-
-    /// Folds another worker's tallies into this one (the additive
-    /// counters only; sizes, depth, and flags are the caller's).
-    pub(crate) fn absorb(&mut self, other: &SearchStats) {
-        self.nodes += other.nodes;
-        self.prunes += other.prunes;
-        self.wipeouts += other.wipeouts;
-        self.residue_hits += other.residue_hits;
-        self.residue_misses += other.residue_misses;
-        self.nogoods_recorded += other.nogoods_recorded;
-        self.nogoods_skipped += other.nogoods_skipped;
     }
 }
 
@@ -150,12 +120,9 @@ pub static SEARCH_RESIDUE: act_obs::RateCounter = act_obs::RateCounter::new("map
 /// carried by `Δ ∘ carrier`, where `domain` is a subdivision (possibly an
 /// iterated affine task) whose base is the task's input complex.
 ///
-/// `max_nodes` bounds the number of backtracking nodes explored (pooled
-/// across all workers); [`SearchResult::Exhausted`] is returned when it
-/// runs out, so callers can distinguish "no map" from "gave up". The
-/// search fans out over [`crate::engine::mapsearch_threads`] workers
-/// (`RAYON_NUM_THREADS=1` forces the serial engine); verdicts are
-/// identical for every thread count.
+/// `max_nodes` bounds the number of backtracking nodes explored;
+/// [`SearchResult::Exhausted`] is returned when it runs out, so callers
+/// can distinguish "no map" from "gave up".
 ///
 /// # Panics
 ///
@@ -168,7 +135,7 @@ pub fn find_carried_map(task: &dyn Task, domain: &Complex, max_nodes: usize) -> 
 /// [`find_carried_map`], additionally returning the search telemetry
 /// (nodes visited, prunes, wipe-outs, budget remaining). When a telemetry
 /// sink is installed (see [`act_obs`]) the stats are also emitted as a
-/// `mapsearch.done` event (plus one `mapsearch.worker` event per worker).
+/// `mapsearch.done` event.
 pub fn find_carried_map_with_stats(
     task: &dyn Task,
     domain: &Complex,
@@ -178,7 +145,7 @@ pub fn find_carried_map_with_stats(
 }
 
 /// [`find_carried_map_with_stats`] with explicit engine knobs: the node
-/// budget and the worker-thread count (see [`SearchConfig`]).
+/// budget and the deadline (see [`SearchConfig`]).
 pub fn find_carried_map_with_config(
     task: &dyn Task,
     domain: &Complex,
@@ -214,14 +181,9 @@ pub fn find_carried_map_with_config(
             .u64("prunes", stats.prunes as u64)
             .u64("wipeouts", stats.wipeouts as u64)
             .u64("budget_remaining", stats.budget_remaining as u64)
-            .u64("workers", stats.workers as u64)
             .u64("residue_hits", stats.residue_hits as u64)
             .u64("residue_misses", stats.residue_misses as u64)
             .f64("residue_hit_rate", stats.residue_hit_rate())
-            .u64("nogoods_recorded", stats.nogoods_recorded as u64)
-            .u64("nogoods_skipped", stats.nogoods_skipped as u64)
-            .u64("caught_panics", stats.caught_panics as u64)
-            .bool("degraded", stats.degraded)
             .emit();
     }
     (result, stats)
@@ -324,7 +286,6 @@ mod tests {
         assert_eq!(stats.constraints, domain.facet_count());
         assert_eq!(stats.depth, 0);
         assert_eq!(stats.budget_remaining, 100_000 - stats.nodes);
-        assert!(stats.workers >= 1);
 
         // An exhausted search reports an empty budget.
         let t = consensus(2, &[0, 1]);
@@ -395,31 +356,6 @@ mod tests {
     }
 
     #[test]
-    fn explicit_thread_counts_agree_on_verdict_and_witness_validity() {
-        // The p4-style solvable instance branches, so the parallel
-        // engine genuinely splits work; every thread count must return
-        // the same verdict and a verifiable witness.
-        let t = SetConsensus::new(2, 2, &[0, 1, 2]);
-        let domain = chr_domain(&t, 1);
-        for threads in [1usize, 2, 4] {
-            let config = SearchConfig::serial(100_000).with_threads(threads);
-            let (result, stats) = find_carried_map_with_config(&t, &domain, &config);
-            let map = result.into_map().expect("solvable at every thread count");
-            assert!(verify_carried_map(&t, &domain, &map));
-            assert!(stats.workers >= 1 && stats.workers <= threads);
-        }
-        // And an unsolvable instance stays exactly unsolvable (never
-        // Exhausted) under the pooled budget.
-        let t = consensus(2, &[0, 1]);
-        let domain = chr_domain(&t, 2);
-        for threads in [1usize, 2, 4] {
-            let config = SearchConfig::serial(1_000_000).with_threads(threads);
-            let (result, _) = find_carried_map_with_config(&t, &domain, &config);
-            assert!(result.is_unsolvable(), "threads = {threads}");
-        }
-    }
-
-    #[test]
     fn symmetry_breaking_preserves_verdicts_and_witness_validity() {
         // Solvable symmetric instance: the lex-least witness survives
         // the breakers and is a genuine solution of the ORIGINAL query —
@@ -431,16 +367,10 @@ mod tests {
         assert!(verify_carried_map(&t, &domain, &map));
         assert_eq!(stats.constraints, domain.facet_count());
 
-        // Unsolvable symmetric instances stay exactly unsolvable, at
-        // every thread count (breakers are deterministic, so the
-        // determinism guarantee is untouched).
+        // Unsolvable symmetric instances stay exactly unsolvable.
         let t = consensus(2, &[0, 1]);
         let domain = chr_domain(&t, 2);
-        for threads in [1usize, 2, 4] {
-            let config = SearchConfig::serial(1_000_000).with_threads(threads);
-            let (result, _) = find_carried_map_with_config(&t, &domain, &config);
-            assert!(result.is_unsolvable(), "threads = {threads}");
-        }
+        assert!(find_carried_map(&t, &domain, 1_000_000).is_unsolvable());
     }
 
     #[test]

@@ -35,8 +35,8 @@ pub struct TaskSymmetry {
 /// simplex is allowed, so is each of its faces (this is what makes `Δ` a
 /// carrier map and enables incremental pruning in the map search).
 ///
-/// `Send + Sync` is a supertrait so the parallel map-search engine can
-/// share a `&dyn Task` across its scoped worker threads.
+/// `Send + Sync` is a supertrait so a `&dyn Task` can be shared between
+/// threads.
 pub trait Task: Send + Sync {
     /// Display name of the task.
     fn name(&self) -> String;

@@ -569,10 +569,9 @@ impl PartialEq for Complex {
     /// count, same level chain, same vertex tables, same facet lists.
     ///
     /// Because subdivision vertices are hash-consed in first-occurrence
-    /// order, two complexes built by the same construction — serially or in
-    /// parallel, in any thread count — compare equal. For complexes built
-    /// through *different* constructions over the same base (where interned
-    /// ids may differ), use [`Complex::same_complex`].
+    /// order, two complexes built by the same construction compare equal.
+    /// For complexes built through *different* constructions over the same
+    /// base (where interned ids may differ), use [`Complex::same_complex`].
     fn eq(&self, other: &Self) -> bool {
         structures_eq(&self.structure, &other.structure) && *self.facets == *other.facets
     }

@@ -19,9 +19,7 @@ use crate::simplex::{Simplex, VertexId};
 ///
 /// Ids are issued in first-occurrence order, so the arena contents are a
 /// deterministic function of the intern-call sequence. The subdivision
-/// engine builds one arena per subdivision round; parallel builds construct
-/// per-chunk arenas and replay them into a global arena in chunk order,
-/// yielding the same table as a serial build.
+/// engine builds one arena per subdivision round.
 ///
 /// # Examples
 ///
@@ -104,12 +102,6 @@ impl InternArena {
     /// The full data of an interned vertex.
     pub fn vertex(&self, id: VertexId) -> Option<&VertexData> {
         self.vertices.get(id.index())
-    }
-
-    /// The vertex table in id order (used when replaying one arena into
-    /// another during the parallel merge).
-    pub(crate) fn vertex_table(&self) -> &[VertexData] {
-        &self.vertices
     }
 
     /// Consumes the arena into the vertex table and key index of a

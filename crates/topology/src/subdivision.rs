@@ -21,7 +21,6 @@ use crate::color::{ColorSet, ProcessId};
 use crate::complex::{Complex, Structure};
 use crate::intern::{FacetAccumulator, InternArena};
 use crate::osp::{osp_table, Osp};
-use crate::parallel::{parallel_map_ranges, subdivision_threads};
 use crate::simplex::{Simplex, VertexId};
 use crate::symmetry::{
     symmetry_group, symmetry_group_inferred, ChainAction, FacetOrbit, LabelMatching, SymmetryGroup,
@@ -73,10 +72,9 @@ impl LevelBuilder {
 /// Expands one input facet into the level builders: for every allowed
 /// recipe, walks the rounds interning the generated vertices and facets.
 ///
-/// Round-0 carriers reference the *input* level's (global) vertex ids;
-/// round `r ≥ 1` carriers reference the ids issued by `builders[r - 1]`.
-/// Base-carrier data always references the base (level-0) complex, so it is
-/// chunk-independent.
+/// Round-0 carriers reference the *input* level's vertex ids; round
+/// `r ≥ 1` carriers reference the ids issued by `builders[r - 1]`.
+/// Base-carrier data always references the base (level-0) complex.
 fn expand_facet(
     input: &Complex,
     facet: &Simplex,
@@ -328,44 +326,6 @@ fn transport_facet(
     }
 }
 
-/// Merges per-chunk builder chains into one global chain, replaying every
-/// chunk's intern and facet sequences *in chunk order*.
-///
-/// Chunks are contiguous ranges of the input facet list, so replaying them
-/// in order reproduces the serial first-occurrence order of every vertex
-/// key and facet exactly: the merged tables are byte-identical to a serial
-/// build. Cross-chunk duplicates are safe because the base data of a vertex
-/// is a function of its canonical key `(color, carrier)`.
-fn merge_builder_chains(chunks: Vec<Vec<LevelBuilder>>, depth: usize) -> Vec<LevelBuilder> {
-    let mut global = LevelBuilder::new_chain(depth);
-    for chain in chunks {
-        // `prev_map`: local vertex index at the previous round -> global id.
-        let mut prev_map: Vec<VertexId> = Vec::new();
-        for (round, local) in chain.into_iter().enumerate() {
-            let g = &mut global[round];
-            let mut map = Vec::with_capacity(local.arena.len());
-            for d in local.arena.vertex_table() {
-                // Round-0 carriers already hold input-level (global) ids;
-                // deeper carriers hold the previous round's local ids.
-                let carrier = if round == 0 {
-                    d.carrier.clone()
-                } else {
-                    remap(&d.carrier, &prev_map)
-                };
-                map.push(
-                    g.arena
-                        .intern(d.color, carrier, d.base_carrier.clone(), d.base_colors),
-                );
-            }
-            for f in local.facets.into_facets() {
-                g.facets.push(remap(&f, &map));
-            }
-            prev_map = map;
-        }
-    }
-    global
-}
-
 /// Assembles a builder chain into the final complex, threading each level's
 /// parent pointer from `input`.
 fn assemble_chain(input: &Complex, builders: Vec<LevelBuilder>, depth: usize) -> Complex {
@@ -409,24 +369,11 @@ impl Complex {
         self.subdivide_patterned(1, |colors| all_recipes(colors, 1))
     }
 
-    /// [`Complex::chromatic_subdivision`] with an explicit worker-thread
-    /// count (the default uses [`crate::subdivision_threads`]). The result
-    /// is identical for every thread count.
-    pub fn chromatic_subdivision_threaded(&self, threads: usize) -> Complex {
-        self.subdivide_patterned_threaded(1, |colors| all_recipes(colors, 1), threads)
-    }
-
     /// The `m`-fold iterated standard chromatic subdivision `Chr^m K`.
     pub fn iterated_subdivision(&self, m: usize) -> Complex {
-        self.iterated_subdivision_threaded(m, subdivision_threads())
-    }
-
-    /// [`Complex::iterated_subdivision`] with an explicit worker-thread
-    /// count. The result is identical for every thread count.
-    pub fn iterated_subdivision_threaded(&self, m: usize, threads: usize) -> Complex {
         let mut c = self.clone();
         for _ in 0..m {
-            c = c.chromatic_subdivision_threaded(threads);
+            c = c.chromatic_subdivision();
         }
         c
     }
@@ -454,33 +401,10 @@ impl Complex {
         F: Fn(ColorSet) -> R,
         R: Into<Arc<Vec<Recipe>>>,
     {
-        self.subdivide_patterned_threaded(depth, recipes, subdivision_threads())
-    }
-
-    /// [`Complex::subdivide_patterned`] with an explicit worker-thread
-    /// count.
-    ///
-    /// Input facets are fanned out over contiguous chunks, each chunk
-    /// builds private interning arenas, and the per-chunk arenas are merged
-    /// in chunk order — reproducing the serial first-occurrence order of
-    /// every vertex and facet, so the result is byte-identical for every
-    /// thread count (`threads = 1` is the serial build).
-    pub fn subdivide_patterned_threaded<F, R>(
-        &self,
-        depth: usize,
-        recipes: F,
-        threads: usize,
-    ) -> Complex
-    where
-        F: Fn(ColorSet) -> R,
-        R: Into<Arc<Vec<Recipe>>>,
-    {
         assert!(depth >= 1, "subdivision depth must be at least 1");
         let span = act_obs::span("subdivide.patterned");
 
-        // Recipe sets are computed once per distinct facet color set, up
-        // front, so worker threads only read the shared cache (and the
-        // closure needs no `Sync` bound).
+        // Recipe sets are computed once per distinct facet color set.
         let mut recipe_cache: HashMap<ColorSet, Arc<Vec<Recipe>>> = HashMap::new();
         for facet in self.facets() {
             let colors = self.colors(facet);
@@ -498,46 +422,16 @@ impl Complex {
             });
         }
 
-        let facets = self.facets();
-        let threads = threads.clamp(1, facets.len().max(1));
-        let builders = if threads <= 1 {
-            let mut chain = LevelBuilder::new_chain(depth);
-            for facet in facets {
-                expand_facet(self, facet, &recipe_cache, &mut chain);
-            }
-            chain
-        } else {
-            // Per-chunk telemetry is emitted from the worker threads
-            // (sinks are `Sync`); the global `seq` field totally orders
-            // the interleaved events.
-            let chunk_chains = parallel_map_ranges(facets.len(), threads, |range| {
-                let chunk_span = act_obs::span("subdivide.chunk");
-                let chunk_start = range.start;
-                let chunk_len = range.len();
-                let mut chain = LevelBuilder::new_chain(depth);
-                for facet in &facets[range] {
-                    expand_facet(self, facet, &recipe_cache, &mut chain);
-                }
-                if act_obs::enabled() {
-                    let interned: usize = chain.iter().map(|b| b.arena.len()).sum();
-                    chunk_span
-                        .finish()
-                        .u64("chunk_start", chunk_start as u64)
-                        .u64("facets_in", chunk_len as u64)
-                        .u64("interned_vertices", interned as u64)
-                        .emit();
-                }
-                chain
-            });
-            merge_builder_chains(chunk_chains, depth)
-        };
+        let mut builders = LevelBuilder::new_chain(depth);
+        for facet in self.facets() {
+            expand_facet(self, facet, &recipe_cache, &mut builders);
+        }
 
         let result = assemble_chain(self, builders, depth);
         if act_obs::enabled() {
             span.finish()
                 .u64("depth", depth as u64)
-                .u64("threads", threads as u64)
-                .u64("facets_in", facets.len() as u64)
+                .u64("facets_in", self.facet_count() as u64)
                 .u64("facets_out", result.facet_count() as u64)
                 .u64("interned_vertices", result.num_vertices() as u64)
                 .emit();
@@ -556,7 +450,7 @@ impl Complex {
     /// exact intern sequence of a direct expansion. Facets whose recipes
     /// are not equivariant under the acting group element fall back to
     /// direct expansion, so the method is total. With a trivial symmetry
-    /// group this delegates to the threaded direct build.
+    /// group this delegates to the direct build.
     ///
     /// Emits a `subdivision.orbit` span with the orbit census and the
     /// transported/direct split.
@@ -568,7 +462,7 @@ impl Complex {
         assert!(depth >= 1, "subdivision depth must be at least 1");
         let group = symmetry_group_inferred(self);
         if group.order() <= 1 {
-            return self.subdivide_patterned_threaded(depth, recipes, subdivision_threads());
+            return self.subdivide_patterned(depth, recipes);
         }
         let span = act_obs::span("subdivision.orbit");
 
@@ -1087,35 +981,6 @@ mod tests {
     }
 
     #[test]
-    fn parallel_subdivision_is_byte_identical_to_serial() {
-        // The deterministic merge reproduces the serial build exactly —
-        // same vertex tables, same ids, same facet order — for every
-        // thread count. `==` compares the interned tables structurally.
-        let inputs = [
-            Complex::standard(3).chromatic_subdivision(),
-            Complex::standard(4).chromatic_subdivision(),
-        ];
-        for input in &inputs {
-            let serial = input.chromatic_subdivision_threaded(1);
-            for threads in [2, 3, 5, 8] {
-                let parallel = input.chromatic_subdivision_threaded(threads);
-                assert_eq!(serial, parallel, "threads = {threads}");
-                assert_eq!(serial.facets(), parallel.facets());
-            }
-        }
-    }
-
-    #[test]
-    fn parallel_patterned_depth_two_is_byte_identical_to_serial() {
-        let s = Complex::standard(3).chromatic_subdivision();
-        let serial = s.subdivide_patterned_threaded(2, |c| all_recipes(c, 2), 1);
-        let parallel = s.subdivide_patterned_threaded(2, |c| all_recipes(c, 2), 4);
-        assert_eq!(serial, parallel);
-        // Intermediate levels are merged identically too.
-        assert_eq!(serial.parent().unwrap(), parallel.parent().unwrap());
-    }
-
-    #[test]
     fn orbit_shared_subdivision_is_byte_identical_to_direct() {
         // Transport reproduces the exact intern sequence, so `==` (which
         // compares vertex tables, ids, and facet lists) holds — the
@@ -1126,7 +991,7 @@ mod tests {
             Complex::standard(3).iterated_subdivision(2),
         ];
         for input in &inputs {
-            let direct = input.chromatic_subdivision_threaded(1);
+            let direct = input.chromatic_subdivision();
             let shared = input.subdivide_patterned_orbit_shared(1, |c| all_recipes(c, 1));
             assert_eq!(direct, shared);
             assert_eq!(direct.facets(), shared.facets());
@@ -1136,7 +1001,7 @@ mod tests {
     #[test]
     fn orbit_shared_depth_two_matches_direct() {
         let s = Complex::standard(3).chromatic_subdivision();
-        let direct = s.subdivide_patterned_threaded(2, |c| all_recipes(c, 2), 1);
+        let direct = s.subdivide_patterned(2, |c| all_recipes(c, 2));
         let shared = s.subdivide_patterned_orbit_shared(2, |c| all_recipes(c, 2));
         assert_eq!(direct, shared);
         assert_eq!(direct.parent().unwrap(), shared.parent().unwrap());
@@ -1153,7 +1018,7 @@ mod tests {
         ];
         let base = Complex::from_labeled_vertices(3, verts, vec![vec![0, 1, 2]]);
         let chr = base.chromatic_subdivision();
-        let direct = chr.subdivide_patterned_threaded(2, |c| all_recipes(c, 2), 1);
+        let direct = chr.subdivide_patterned(2, |c| all_recipes(c, 2));
         let shared = chr.subdivide_patterned_orbit_shared(2, |c| all_recipes(c, 2));
         assert_eq!(direct, shared);
     }

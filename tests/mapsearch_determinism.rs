@@ -1,109 +1,28 @@
-//! Determinism of the parallel map-search engine: for every thread
-//! count the engine must return the same verdict as the serial search —
-//! and a valid witness whenever that verdict is `Found` — and pooled
-//! budgets must never turn an exact `Unsolvable` into `Exhausted`.
+//! Determinism of the map-search engine: exact `Unsolvable` verdicts on
+//! the golden cases are never cut short into `Exhausted`, and the witness
+//! of a solvable search is reproducible run to run and always verifies.
 
 use act_tasks::{
     consensus, find_carried_map_with_config, verify_carried_map, SearchConfig, SetConsensus, Task,
 };
-use act_topology::{Complex, Simplex};
-use proptest::prelude::*;
-
-/// The thread counts CI exercises via `RAYON_NUM_THREADS`; here they are
-/// pinned per search through [`SearchConfig::with_threads`] so the cases
-/// don't race on the process environment.
-const THREADS: [usize; 3] = [1, 2, 4];
-
-/// A non-empty sub-complex of the task's inputs selected by a bitmask
-/// over its facets, subdivided `depth` times.
-fn masked_domain(task: &dyn Task, mask: u32, depth: usize) -> Complex {
-    let i = task.inputs();
-    let chosen: Vec<Simplex> = i
-        .facets()
-        .iter()
-        .enumerate()
-        .filter(|(idx, _)| mask & (1 << (idx % 16)) != 0)
-        .map(|(_, f)| f.clone())
-        .collect();
-    let sub = if chosen.is_empty() {
-        i.clone()
-    } else {
-        i.sub_complex(chosen)
-    };
-    sub.iterated_subdivision(depth)
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(24))]
-
-    /// Random 2-process (k-)set-consensus instances over random value
-    /// sets, input restrictions and depths: every thread count agrees
-    /// with the serial engine's verdict, and every `Found` comes with an
-    /// independently verified witness.
-    #[test]
-    fn parallel_verdicts_match_serial(
-        k in 1usize..=2,
-        values in proptest::collection::btree_set(0u64..4, 2..=3),
-        mask in 1u32..=0xffff,
-        depth in 1usize..=2,
-    ) {
-        let mut values: Vec<u64> = values.into_iter().collect();
-        if values.len() < 2 {
-            values = vec![0, 1];
-        }
-        // k-set consensus needs more than k distinct values.
-        let k = k.min(values.len() - 1);
-        let t = SetConsensus::new(2, k, &values);
-        let domain = masked_domain(&t, mask, depth);
-
-        let serial = SearchConfig::serial(500_000);
-        let (baseline, base_stats) = find_carried_map_with_config(&t, &domain, &serial);
-        prop_assert_eq!(base_stats.workers, 1);
-        if let Some(map) = baseline.clone().into_map() {
-            prop_assert!(verify_carried_map(&t, &domain, &map));
-        }
-
-        for threads in THREADS {
-            let config = serial.with_threads(threads);
-            let (result, stats) = find_carried_map_with_config(&t, &domain, &config);
-            prop_assert!(
-                result.verdict_name() == baseline.verdict_name(),
-                "threads = {} changed the verdict: {} vs {}",
-                threads,
-                result.verdict_name(),
-                baseline.verdict_name()
-            );
-            prop_assert!(stats.workers >= 1 && stats.workers <= threads);
-            if let Some(map) = result.into_map() {
-                prop_assert!(
-                    verify_carried_map(&t, &domain, &map),
-                    "threads = {} returned an invalid witness",
-                    threads
-                );
-            }
-        }
-    }
-}
 
 /// The golden unsolvable cases of the test suite: exact `Unsolvable`
-/// verdicts must survive the pooled budget at every thread count — a
-/// worker running out of budget would degrade them to `Exhausted`.
+/// verdicts with budget to spare — running out of budget would degrade
+/// them to `Exhausted`.
 #[test]
 fn golden_unsolvable_cases_never_degrade_to_exhausted() {
     // 2-process consensus at depths 1 and 2 (FLP), budget 1M.
     let t = consensus(2, &[0, 1]);
     for depth in 1..=2 {
         let domain = t.inputs().iterated_subdivision(depth);
-        for threads in THREADS {
-            let config = SearchConfig::serial(1_000_000).with_threads(threads);
-            let (result, stats) = find_carried_map_with_config(&t, &domain, &config);
-            assert!(
-                result.is_unsolvable(),
-                "consensus depth {depth} threads {threads}: got {}",
-                result.verdict_name()
-            );
-            assert!(stats.budget_remaining > 0, "the pool was never emptied");
-        }
+        let config = SearchConfig::new(1_000_000);
+        let (result, stats) = find_carried_map_with_config(&t, &domain, &config);
+        assert!(
+            result.is_unsolvable(),
+            "consensus depth {depth}: got {}",
+            result.verdict_name()
+        );
+        assert!(stats.budget_remaining > 0, "the budget was never emptied");
     }
 
     // 3-process consensus on the rainbow input facet, one round.
@@ -120,42 +39,31 @@ fn golden_unsolvable_cases_never_degrade_to_exhausted() {
         .expect("rainbow facet exists")
         .clone();
     let domain = i.sub_complex(vec![rainbow]).iterated_subdivision(1);
-    for threads in THREADS {
-        let config = SearchConfig::serial(1_000_000).with_threads(threads);
-        let (result, _) = find_carried_map_with_config(&t, &domain, &config);
-        assert!(
-            result.is_unsolvable(),
-            "3-process rainbow consensus threads {threads}: got {}",
-            result.verdict_name()
-        );
-    }
+    let config = SearchConfig::new(1_000_000);
+    let (result, _) = find_carried_map_with_config(&t, &domain, &config);
+    assert!(
+        result.is_unsolvable(),
+        "3-process rainbow consensus: got {}",
+        result.verdict_name()
+    );
 }
 
-/// A branching solvable instance (the bench's reference case): all
-/// thread counts find *some* valid witness, and the serial engine's
-/// witness is reproducible run to run.
+/// A branching solvable instance (the bench's reference case): the
+/// engine's witness is reproducible run to run and verifies.
 #[test]
 fn solvable_searches_are_reproducible_and_always_verified() {
     let t = SetConsensus::new(2, 2, &[0, 1, 2]);
     let domain = t.inputs().iterated_subdivision(1);
 
-    let serial = SearchConfig::serial(100_000);
-    let first = find_carried_map_with_config(&t, &domain, &serial)
+    let config = SearchConfig::new(100_000);
+    let first = find_carried_map_with_config(&t, &domain, &config)
         .0
         .into_map()
         .expect("solvable");
-    let second = find_carried_map_with_config(&t, &domain, &serial)
+    let second = find_carried_map_with_config(&t, &domain, &config)
         .0
         .into_map()
         .expect("solvable");
-    assert_eq!(first, second, "the serial engine is deterministic");
-
-    for threads in THREADS {
-        let config = serial.with_threads(threads);
-        let map = find_carried_map_with_config(&t, &domain, &config)
-            .0
-            .into_map()
-            .unwrap_or_else(|| panic!("solvable at {threads} threads"));
-        assert!(verify_carried_map(&t, &domain, &map));
-    }
+    assert_eq!(first, second, "the engine is deterministic");
+    assert!(verify_carried_map(&t, &domain, &first));
 }

@@ -4,8 +4,7 @@
 use act_adversary::{Adversary, AgreementFunction, SetconSolver};
 use act_runtime::osp_from_views;
 use act_topology::{
-    all_recipes, ordered_set_partitions, ColorSet, Complex, InternArena, ProcessId, Simplex,
-    VertexId,
+    ordered_set_partitions, ColorSet, Complex, InternArena, ProcessId, Simplex, VertexId,
 };
 use proptest::prelude::*;
 
@@ -164,64 +163,16 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
     #[test]
-    fn serial_and_parallel_chr_builds_are_identical(mask in 1u64..(1 << 13),
-                                                    threads in 2usize..6) {
-        // A random sub-complex of Chr s as input: its subdivision must be
-        // byte-identical — same interned vertex tables, same ids, same
-        // facet order — for every worker-thread count.
-        let chr = Complex::standard(3).chromatic_subdivision();
-        let facets: Vec<_> = chr
-            .facets()
-            .iter()
-            .enumerate()
-            .filter(|(i, _)| mask & (1 << i) != 0)
-            .map(|(_, f)| f.clone())
-            .collect();
-        let input = chr.sub_complex(facets);
-        let serial = input.chromatic_subdivision_threaded(1);
-        let parallel = input.chromatic_subdivision_threaded(threads);
-        prop_assert_eq!(&serial, &parallel);
-        prop_assert_eq!(serial.facets(), parallel.facets());
-    }
-
-    #[test]
-    fn serial_and_parallel_patterned_builds_are_identical(seed in 0u64..10_000,
-                                                          threads in 2usize..6,
-                                                          depth in 1usize..3) {
-        // A pseudo-random recipe subset (deterministic in `seed`), applied
-        // to the 13 facets of Chr s; serial and parallel builds of the
-        // patterned subdivision must agree exactly, including the
-        // intermediate levels.
-        let input = Complex::standard(3).chromatic_subdivision();
-        let pick = move |colors: ColorSet| {
-            let all = all_recipes(colors, depth);
-            let k = all.len();
-            all.into_iter()
-                .enumerate()
-                .filter(|(i, _)| (seed >> (i % 13)) & 1 == 1 || *i == (seed as usize) % k)
-                .map(|(_, r)| r)
-                .collect::<Vec<_>>()
-        };
-        let serial = input.subdivide_patterned_threaded(depth, pick, 1);
-        let parallel = input.subdivide_patterned_threaded(depth, pick, threads);
-        prop_assert_eq!(&serial, &parallel);
-        if depth == 2 {
-            prop_assert_eq!(serial.parent().unwrap(), parallel.parent().unwrap());
-        }
-    }
-
-    #[test]
-    fn insertion_order_does_not_change_the_complex(rot in 0usize..13,
-                                                   threads in 1usize..5) {
+    fn insertion_order_does_not_change_the_complex(rot in 0usize..13) {
         // Rotating the input facet list permutes the interned ids but
-        // yields the same complex structurally, serial or parallel.
+        // yields the same complex structurally.
         let chr = Complex::standard(3).chromatic_subdivision();
         let mut facets = chr.facets().to_vec();
         let shift = rot % facets.len();
         facets.rotate_left(shift);
         let rotated = chr.sub_complex(facets);
-        let a = rotated.chromatic_subdivision_threaded(threads);
-        let b = chr.chromatic_subdivision_threaded(1);
+        let a = rotated.chromatic_subdivision();
+        let b = chr.chromatic_subdivision();
         prop_assert!(a.same_complex(&b));
     }
 
