@@ -2,7 +2,9 @@
 //! exponential backoff, backpressure honoring, and replica fallback.
 //!
 //! A [`ClusterClient`] holds the full peer list and answers one request
-//! at a time. Its retry loop classifies every failure:
+//! at a time, over held-open connections of its own (a `wire` pool;
+//! dropping the client closes them). Its retry loop classifies every
+//! failure:
 //!
 //! * **connect / io errors, dropped connections** — transient: rotate
 //!   to the next peer and retry after a jittered exponential backoff
@@ -92,6 +94,7 @@ pub struct ClusterClient {
     // Rotates across requests so one client spreads load, and advances
     // on failure so the next request skips a peer just seen down.
     preferred: AtomicUsize,
+    pool: wire::Pool,
 }
 
 impl ClusterClient {
@@ -103,11 +106,16 @@ impl ClusterClient {
 
     /// A client with an explicit [`RetryPolicy`].
     pub fn with_policy(peers: Vec<String>, seed: u64, policy: RetryPolicy) -> ClusterClient {
+        let pool = wire::Pool::new(
+            Duration::from_millis(policy.connect_timeout_ms),
+            Duration::from_millis(policy.io_timeout_ms),
+        );
         ClusterClient {
             peers,
             policy,
             rng: Mutex::new(ChaCha8Rng::seed_from_u64(seed)),
             preferred: AtomicUsize::new(0),
+            pool,
         }
     }
 
@@ -224,13 +232,7 @@ impl ClusterClient {
 
     /// One wire exchange with one peer.
     fn send_once(&self, addr: &str, line: &str) -> Result<Response, String> {
-        let reply = wire::exchange(
-            addr,
-            line,
-            Duration::from_millis(self.policy.connect_timeout_ms),
-            Duration::from_millis(self.policy.io_timeout_ms),
-        )
-        .map_err(|e| e.to_string())?;
+        let reply = self.pool.exchange(addr, line).map_err(|e| e.to_string())?;
         serde_json::from_str::<Response>(&reply).map_err(|e| format!("bad reply: {e}"))
     }
 

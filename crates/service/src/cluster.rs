@@ -192,13 +192,19 @@ impl PeerRing {
 pub struct Cluster {
     config: ClusterConfig,
     ring: PeerRing,
+    /// Held-open connections to the other peers, closed with the handle.
+    pool: wire::Pool,
 }
 
 impl Cluster {
     /// Builds the handle (and its ring) for `config`.
     pub fn new(config: ClusterConfig) -> Cluster {
         let ring = PeerRing::new_weighted(&config.effective_weights());
-        Cluster { config, ring }
+        let pool = wire::Pool::new(
+            Duration::from_millis(config.connect_timeout_ms),
+            Duration::from_millis(config.io_timeout_ms),
+        );
+        Cluster { config, ring, pool }
     }
 
     /// The static topology.
@@ -224,13 +230,7 @@ impl Cluster {
             .peers
             .get(peer)
             .ok_or_else(|| format!("no peer {peer}"))?;
-        wire::exchange(
-            addr,
-            line,
-            Duration::from_millis(self.config.connect_timeout_ms),
-            Duration::from_millis(self.config.io_timeout_ms),
-        )
-        .map_err(|e| {
+        self.pool.exchange(addr, line).map_err(|e| {
             SERVE_PEER_UNREACHABLE.add(1);
             if act_obs::enabled() {
                 act_obs::event("serve.peer.unreachable")

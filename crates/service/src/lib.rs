@@ -28,8 +28,8 @@
 //!   `shutdown` request types, bounded queue with explicit backpressure
 //!   replies, and graceful drain;
 //! * `wire` — the **one outbound exchange** the failover client and
-//!   every peer RPC share: one connection, one single-write request
-//!   line, one reply line.
+//!   every peer RPC share: a held-open connection from the caller's own
+//!   pool, one single-write request line, one reply line.
 //!
 //! The `fact-cli serve` subcommand is the front end; `fact-cli solve
 //! --store <dir>` shares the same on-disk store, so one-shot CLI runs

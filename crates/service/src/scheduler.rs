@@ -31,6 +31,7 @@
 
 use std::collections::{HashMap, VecDeque};
 use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::time::Duration;
@@ -173,7 +174,6 @@ struct SchedState {
     /// `"coalesced"`).
     inflight: HashMap<StoreKey, Vec<Sender<Served>>>,
     running: usize,
-    draining: bool,
 }
 
 /// A warmed per-agreement-function tower slot: the agreement function,
@@ -206,6 +206,11 @@ pub struct Scheduler {
     tower_store: Option<Arc<crate::TowerStore>>,
     config: ServeConfig,
     state: Mutex<SchedState>,
+    /// Set once by [`Scheduler::drain`], under the state lock (so a
+    /// worker checking it there cannot miss the wake-up); read without
+    /// the lock before the store, so a draining scheduler answers no
+    /// store hit either.
+    draining: AtomicBool,
     job_ready: Condvar,
     towers: Mutex<TowerMap>,
     workers: Mutex<Vec<std::thread::JoinHandle<()>>>,
@@ -232,8 +237,8 @@ impl Scheduler {
                 queue: VecDeque::new(),
                 inflight: HashMap::new(),
                 running: 0,
-                draining: false,
             }),
+            draining: AtomicBool::new(false),
             job_ready: Condvar::new(),
             towers: Mutex::new(TowerMap {
                 slots: HashMap::new(),
@@ -272,8 +277,12 @@ impl Scheduler {
         }
     }
 
-    /// Submits a query through the store-check / coalesce / admit gates.
+    /// Submits a query through the drain / store-check / coalesce / admit
+    /// gates.
     pub fn submit(&self, query: SolveQuery) -> Submitted {
+        if self.draining.load(Ordering::Relaxed) {
+            return Submitted::Draining;
+        }
         let key = query.key();
         if let Some(verdict) = self.store.get(&key) {
             SERVE_HIT.add(1);
@@ -284,7 +293,7 @@ impl Scheduler {
         }
         let tower = query.tower_key();
         let mut state = self.lock_state();
-        if state.draining {
+        if self.draining.load(Ordering::Relaxed) {
             return Submitted::Draining;
         }
         if let Some(waiters) = state.inflight.get_mut(&key) {
@@ -347,8 +356,8 @@ impl Scheduler {
     /// job (their waiters still get answers), then join the workers.
     pub fn drain(&self) {
         {
-            let mut state = self.lock_state();
-            state.draining = true;
+            let _state = self.lock_state();
+            self.draining.store(true, Ordering::Relaxed);
         }
         self.job_ready.notify_all();
         let handles = std::mem::take(&mut *self.lock_workers());
@@ -389,7 +398,7 @@ impl Scheduler {
                 SERVE_QUEUE_DEPTH.set(state.queue.len() as u64);
                 return Some(job);
             }
-            if state.draining {
+            if self.draining.load(Ordering::Relaxed) {
                 return None;
             }
             state = self

@@ -4,10 +4,11 @@
 //!   OS pick a free port) and prints `fact-serve listening on ADDR` as
 //!   its first stdout line, so harnesses can scrape the assigned port.
 //!   The serve loop blocks in `accept` and hands each connection its own
-//!   thread; requests on one connection are answered in order, and
-//!   clients open several connections for concurrency. Accepted streams
-//!   set `TCP_NODELAY`, and each reply leaves as **one write** of the
-//!   encoded line and its `\n`, so a reply never waits on a delayed ACK.
+//!   thread; requests on one connection are answered in order, clients
+//!   hold connections open across requests, and open several for
+//!   concurrency. Accepted streams set `TCP_NODELAY`, and each reply
+//!   leaves as **one write** of the encoded line and its `\n`, so a
+//!   reply never waits on a delayed ACK.
 //! * **stdio** — one request per stdin line, one response per stdout
 //!   line; used by tests and pipelines (`fact-cli serve --stdio`). EOF
 //!   drains and exits cleanly.
@@ -30,13 +31,18 @@
 //! loop checks its stop flag after every accepted connection, so
 //! whatever raises the flag (the wire `shutdown`, or
 //! [`ServerHandle::stop`]) then **wakes it with one self-connect**, and
-//! the serve loop exits.
+//! the serve loop exits. **Held-open connections end at stop**: on exit
+//! the loop shuts down the read side of every stream it accepted, so
+//! replies in flight still go out but a stopped server reads (and
+//! answers) no further request; a connection thread also checks the
+//! stop flag before answering each line.
 
+use std::collections::HashMap;
 use std::io::{BufRead, BufReader, ErrorKind, Write};
-use std::net::{Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
+use std::net::{Ipv4Addr, Ipv6Addr, Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 use crate::chaos::{self, ServeFaultPlan, WireAction};
@@ -289,22 +295,47 @@ fn serve_tcp(
     listener: TcpListener,
     stop: &Arc<AtomicBool>,
 ) -> std::io::Result<()> {
-    loop {
+    // The accepted streams still being served, by accept number; each
+    // connection thread removes its own entry when it returns.
+    let open: Arc<Mutex<HashMap<u64, TcpStream>>> = Arc::default();
+    let mut accepted_count = 0u64;
+    let result = loop {
         let accepted = listener.accept();
         if stop.load(Ordering::Relaxed) {
-            return Ok(());
+            break Ok(());
         }
         match accepted {
             Ok((stream, _peer)) => {
                 let _ = stream.set_nodelay(true);
+                let id = accepted_count;
+                accepted_count += 1;
+                if let Ok(clone) = stream.try_clone() {
+                    lock_open(&open).insert(id, clone);
+                }
                 let ctx = Arc::clone(ctx);
                 let stop = Arc::clone(stop);
-                std::thread::spawn(move || handle_connection(stream, &ctx, &stop));
+                let open = Arc::clone(&open);
+                std::thread::spawn(move || {
+                    handle_connection(stream, &ctx, &stop);
+                    lock_open(&open).remove(&id);
+                });
             }
             Err(e) if e.kind() == ErrorKind::Interrupted => {}
-            Err(e) => return Err(e),
+            Err(e) => break Err(e),
         }
+    };
+    // End every held-open connection: a thread blocked reading its next
+    // request sees EOF, while one mid-request still writes its reply.
+    for stream in lock_open(&open).values() {
+        let _ = stream.shutdown(Shutdown::Read);
     }
+    result
+}
+
+fn lock_open(
+    open: &Mutex<HashMap<u64, TcpStream>>,
+) -> std::sync::MutexGuard<'_, HashMap<u64, TcpStream>> {
+    open.lock().unwrap_or_else(|e| e.into_inner())
 }
 
 /// Wakes an accept loop blocked on `addr` after its stop flag was
@@ -324,6 +355,11 @@ fn wake(mut addr: SocketAddr) {
 fn handle_connection(stream: TcpStream, ctx: &Arc<ServeCtx>, stop: &AtomicBool) {
     for line in BufReader::new(&stream).lines() {
         let Ok(line) = line else { return };
+        // A stopped server answers nothing more, even on a connection
+        // held open across the stop.
+        if stop.load(Ordering::Relaxed) {
+            return;
+        }
         if line.trim().is_empty() {
             continue;
         }
@@ -719,13 +755,9 @@ mod tests {
     #[test]
     fn a_wire_shutdown_ends_the_tcp_serve_loop() {
         let handle = spawn_idle("127.0.0.1:0");
-        let reply = crate::wire::exchange(
-            &handle.addr().to_string(),
-            r#"{"op":"shutdown","id":1}"#,
-            Duration::from_secs(1),
-            Duration::from_secs(5),
-        )
-        .unwrap();
+        let reply = crate::wire::Pool::new(Duration::from_secs(1), Duration::from_secs(5))
+            .exchange(&handle.addr().to_string(), r#"{"op":"shutdown","id":1}"#)
+            .unwrap();
         let reply: Response = serde_json::from_str(&reply).unwrap();
         assert!(reply.ok);
         assert_eq!(reply.op, "shutdown");
@@ -738,6 +770,36 @@ mod tests {
             );
             std::thread::sleep(Duration::from_millis(5));
         }
+        handle.stop();
+    }
+
+    #[test]
+    fn a_wire_shutdown_acks_then_closes_the_other_held_open_connections() {
+        let handle = spawn_idle("127.0.0.1:0");
+        let held = TcpStream::connect(handle.addr()).unwrap();
+        held.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+        let mut held_reader = BufReader::new(&held);
+        let mut reply = String::new();
+        (&held).write_all(b"{\"op\":\"stats\",\"id\":1}\n").unwrap();
+        held_reader.read_line(&mut reply).unwrap();
+        assert!(reply.contains("\"stats\""), "{reply}");
+
+        let closer = TcpStream::connect(handle.addr()).unwrap();
+        closer
+            .set_read_timeout(Some(Duration::from_secs(5)))
+            .unwrap();
+        (&closer)
+            .write_all(b"{\"op\":\"shutdown\",\"id\":2}\n")
+            .unwrap();
+        reply.clear();
+        BufReader::new(&closer).read_line(&mut reply).unwrap();
+        let ack: Response = serde_json::from_str(reply.trim_end()).unwrap();
+        assert!(ack.ok);
+        assert_eq!(ack.op, "shutdown");
+
+        // The held-open connection reads EOF, not a timeout.
+        reply.clear();
+        assert_eq!(held_reader.read_line(&mut reply).unwrap(), 0, "{reply}");
         handle.stop();
     }
 

@@ -1,13 +1,15 @@
 //! End-to-end cluster tests over real sockets: in-process peers built
 //! with `spawn_server`, exercised through the resilient `ClusterClient`
 //! — placement + replication, non-owner forwarding, failover past a
-//! dead peer, and Merkle-root convergence after a restart.
+//! dead peer, held-open connections ending at a peer's stop, and
+//! Merkle-root convergence after a restart.
 //!
 //! The peers share this test process, so the `serve.peer.*` counters
 //! are cluster-wide totals here; assertions use store contents (which
 //! are per-peer) wherever per-peer attribution matters.
 
-use std::net::TcpListener;
+use std::io::{BufRead, BufReader, ErrorKind, Write};
+use std::net::{TcpListener, TcpStream};
 use std::sync::{Mutex, MutexGuard};
 
 use act_service::{
@@ -136,6 +138,55 @@ fn clients_fail_over_when_a_peer_dies_mid_workload() {
     }
     // Stats too (a different request shape through the same retry path).
     assert!(client.stats().unwrap().ok);
+    for h in handles {
+        h.stop();
+    }
+}
+
+#[test]
+fn a_stopped_peer_answers_nothing_on_held_open_connections() {
+    let _serial = serial();
+    let (listeners, addrs) = bind_peers(2);
+    let mut handles = spawn_cluster(listeners, &addrs);
+
+    // The client tries peer A first, so it now holds a stream to A.
+    let client = ClusterClient::new(addrs.clone(), 13);
+    assert!(
+        client
+            .solve("t-res:3:1", 2, 1, false, Some(30_000))
+            .unwrap()
+            .ok
+    );
+    let raw = TcpStream::connect(&addrs[0]).unwrap();
+    raw.set_read_timeout(Some(std::time::Duration::from_secs(5)))
+        .unwrap();
+    let mut reader = BufReader::new(&raw);
+    let solve = b"{\"op\":\"solve\",\"id\":1,\"model\":\"t-res:3:1\",\"k\":2}\n";
+    let mut reply = String::new();
+    (&raw).write_all(solve).unwrap();
+    reader.read_line(&mut reply).unwrap();
+    assert!(reply.contains("\"solvable\""), "{reply}");
+
+    handles.remove(0).stop();
+
+    // The same request on the same stream: A reads no further request.
+    let _ = (&raw).write_all(solve);
+    reply.clear();
+    match reader.read_line(&mut reply) {
+        Ok(0) => {}
+        Err(e) if e.kind() == ErrorKind::ConnectionReset => {}
+        other => panic!("a stopped peer answered a held-open connection: {other:?} {reply:?}"),
+    }
+
+    // The client's next solve fails over to peer B, which answers it
+    // itself (its only other owner is down).
+    let resp = client.solve("k-of:3:2", 2, 1, false, Some(30_000)).unwrap();
+    assert!(resp.ok);
+    assert!(handles[0]
+        .scheduler()
+        .store()
+        .raw_entry(key("k-of:3:2", 2).content_hash())
+        .is_some());
     for h in handles {
         h.stop();
     }
